@@ -36,7 +36,7 @@ use crate::search::astar::{
 };
 use crate::search::config::{SearchConfig, SearchStrategy};
 use crate::search::op::TransitionOp;
-use crate::search::state::SearchState;
+use crate::search::state::{quantize, SearchState};
 
 /// The abstract reduction recipe of one exact solve: the transition
 /// operations the search settled (in the frame of the searched variant), the
@@ -214,12 +214,13 @@ impl SolverEngine {
     ) -> Result<ExactSynthesisOutcome, SynthesisError> {
         let start = std::time::Instant::now();
         let sparse = state.as_sparse()?;
-        let target = sparse.as_ref();
-        if target.iter().any(|(_, a)| a < 0.0) {
+        if sparse.iter().any(|(_, a)| a < 0.0) {
             return Err(SynthesisError::UnsupportedState {
                 reason: "exact synthesis requires non-negative real amplitudes".to_string(),
             });
         }
+        let on_grid = on_search_grid(&sparse)?;
+        let target = on_grid.as_ref().unwrap_or(&sparse);
         if target.cardinality() > self.config.max_cardinality {
             return Err(SynthesisError::ProblemTooLarge {
                 reason: format!(
@@ -425,6 +426,21 @@ impl SearchFailure {
             SearchFailure::Error(e) => e,
         }
     }
+}
+
+/// The target restricted to the support the search sees, or `None` when
+/// that is the whole target. The search works on a `2^-40` probability grid
+/// where amplitudes below ≈ 6.7e-7 round to zero, while the angle replay
+/// works on the f64 state; dropping those entries (and renormalizing) here,
+/// once, makes the search, the active-qubit compaction and the replay solve
+/// one support. The dropped probability is below `2^-41` per entry.
+fn on_search_grid(target: &SparseState) -> Result<Option<SparseState>, SynthesisError> {
+    let on_grid = |&(_, amplitude): &(BasisIndex, f64)| quantize(amplitude) > 0;
+    if target.iter().all(|entry| on_grid(&entry)) {
+        return Ok(None);
+    }
+    let kept = SparseState::from_amplitudes(target.num_qubits(), target.iter().filter(on_grid))?;
+    Ok(Some(kept.normalize()?))
 }
 
 /// Restricts `target` to the `active` qubits (every other qubit is `|0⟩`).

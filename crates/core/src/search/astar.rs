@@ -9,23 +9,30 @@
 //! Sec. V-A, so the first settled product state is CNOT-optimal with respect
 //! to the transition library.
 //!
+//! Every distinct state is interned once in an arena of nodes. A node holds
+//! the state's entries, its distance slot, its cached heuristic and the
+//! parent node and op of its best path; the priority queue holds only
+//! `(f, g, seq, node id)`. Successors are built in one reusable scratch
+//! buffer and looked up in the interner before anything is stored, so
+//! expanding a node allocates only for states never seen before.
+//!
 //! The search can also run as one worker of a *portfolio* (see
 //! [`SearchCoordination`]): racing searches on zero-cost variants of the
 //! same target share an atomic incumbent bound and a cancellation flag.
 
-use std::borrow::Cow;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtomicOrdering};
 
 use qsp_obs::{CancellationCause, SearchProbe};
 
 use crate::error::SynthesisError;
 
-use super::canonical::{canonical_key, CanonicalKey};
+use super::canonical::compressed_key;
 use super::config::SearchConfig;
 use super::op::TransitionOp;
-use super::state::SearchState;
+use super::state::{self, Entry, Profile, SearchState};
 
 /// Shared coordination state of a portfolio of racing A* searches.
 ///
@@ -90,30 +97,134 @@ pub struct SearchOutcome {
     pub pushed: usize,
 }
 
-/// A priority-queue entry ordered by `(f, g, insertion sequence)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct QueueItem {
-    f: usize,
-    g: usize,
-    seq: u64,
-    state: SearchState,
+/// The id of the target's node, where every reduction path starts.
+const ROOT: u32 = 0;
+
+/// One distinct search state, interned once in the [`Arena`].
+#[derive(Debug)]
+struct Node {
+    /// The state's sorted entries (shared with the interner's key).
+    entries: Rc<[Entry]>,
+    /// The distance slot holding the best known `g` for this node.
+    slot: u32,
+    /// The node the best path so far came from (unused at the root).
+    parent: u32,
+    /// Library index of the op that led here from `parent`.
+    op: u32,
+    /// The heuristic, computed the first time the node is pushed.
+    h: Option<u32>,
 }
 
-impl Ord for QueueItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap: invert so the smallest f (then g, then
-        // oldest insertion) is popped first.
-        other
-            .f
-            .cmp(&self.f)
-            .then_with(|| other.g.cmp(&self.g))
-            .then_with(|| other.seq.cmp(&self.seq))
+/// Every distinct state the search has generated, each stored once and
+/// named by a `u32` id.
+///
+/// A node's distance slot is chosen when it is interned: its own slot by
+/// default, or under `permutation_compression` the slot of its Sec. V-B
+/// canonical key, so every member of a class shares one best `g`. The key
+/// is computed once per distinct state. Nodes stay keyed by the concrete
+/// state either way, because path reconstruction needs concrete parents.
+#[derive(Debug)]
+struct Arena {
+    num_qubits: usize,
+    use_heuristic: bool,
+    nodes: Vec<Node>,
+    ids: HashMap<Rc<[Entry]>, u32>,
+    /// Best known `g` per distance slot (`usize::MAX` until reached).
+    best: Vec<usize>,
+    /// The slot of every canonical key seen (compression only).
+    classes: Option<HashMap<Vec<Entry>, u32>>,
+}
+
+impl Arena {
+    fn new(num_qubits: usize, config: &SearchConfig) -> Self {
+        Arena {
+            num_qubits,
+            use_heuristic: config.use_heuristic,
+            nodes: Vec::new(),
+            ids: HashMap::new(),
+            best: Vec::new(),
+            classes: config.permutation_compression.then(HashMap::new),
+        }
     }
-}
 
-impl PartialOrd for QueueItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+    /// The id of the state with `entries`, interning it on first sight.
+    /// `None` when the state would be the arena's `2^32`-th: ids never wrap.
+    fn intern(&mut self, entries: &[Entry]) -> Option<u32> {
+        if let Some(&id) = self.ids.get(entries) {
+            return Some(id);
+        }
+        let id = u32::try_from(self.nodes.len()).ok()?;
+        let slot = match &mut self.classes {
+            None => id,
+            Some(classes) => {
+                let key = compressed_key(entries, self.num_qubits);
+                match classes.get(&key) {
+                    Some(&slot) => slot,
+                    None => {
+                        let slot = u32::try_from(self.best.len()).ok()?;
+                        classes.insert(key, slot);
+                        slot
+                    }
+                }
+            }
+        };
+        if slot as usize == self.best.len() {
+            self.best.push(usize::MAX);
+        }
+        let entries: Rc<[Entry]> = Rc::from(entries);
+        self.ids.insert(Rc::clone(&entries), id);
+        self.nodes.push(Node {
+            entries,
+            slot,
+            parent: ROOT,
+            op: 0,
+            h: None,
+        });
+        Some(id)
+    }
+
+    fn node(&self, id: u32) -> &Node {
+        &self.nodes[id as usize]
+    }
+
+    fn best(&self, id: u32) -> usize {
+        self.best[self.node(id).slot as usize]
+    }
+
+    /// Records `g` as the best distance of `id`'s slot, reached from
+    /// `parent` through library op `op`.
+    fn relax(&mut self, id: u32, g: usize, parent: u32, op: u32) {
+        let node = &mut self.nodes[id as usize];
+        node.parent = parent;
+        node.op = op;
+        self.best[node.slot as usize] = g;
+    }
+
+    /// The Sec. V-A heuristic of `id` (computed once, then cached), or 0
+    /// when the heuristic is off.
+    fn heuristic(&mut self, id: u32) -> usize {
+        if !self.use_heuristic {
+            return 0;
+        }
+        let node = &mut self.nodes[id as usize];
+        let h = *node.h.get_or_insert_with(|| {
+            let h = state::heuristic(&node.entries, self.num_qubits);
+            u32::try_from(h).expect("the heuristic is at most the qubit count")
+        });
+        h as usize
+    }
+
+    /// The library ops from the root to `goal`, in application order.
+    fn path(&self, goal: u32, library: &[TransitionOp]) -> Vec<TransitionOp> {
+        let mut ops = Vec::new();
+        let mut id = goal;
+        while id != ROOT {
+            let node = self.node(id);
+            ops.push(library[node.op as usize]);
+            id = node.parent;
+        }
+        ops.reverse();
+        ops
     }
 }
 
@@ -182,44 +293,33 @@ pub fn shortest_reduction_probed(
         });
     }
 
-    let library = TransitionOp::library(target.num_qubits(), config.enable_controlled_merges);
-    let heuristic = |state: &SearchState| -> usize {
-        if config.use_heuristic {
-            state.heuristic()
-        } else {
-            0
-        }
+    let num_qubits = target.num_qubits();
+    let library = TransitionOp::library(num_qubits, config.enable_controlled_merges);
+    let exhausted = |expanded: usize, pushed: usize, frontier: usize| {
+        flush(expanded, pushed, frontier);
+        cancelled(CancellationCause::BudgetExhausted);
+        Err(SearchFailure::Error(
+            SynthesisError::SearchBudgetExhausted { expanded },
+        ))
     };
 
-    let mut dist: HashMap<CanonicalKey, usize> = HashMap::new();
-    let mut parent: HashMap<SearchState, (SearchState, TransitionOp)> = HashMap::new();
-    let mut queue: BinaryHeap<QueueItem> = BinaryHeap::new();
+    let mut arena = Arena::new(num_qubits, config);
+    // The heap orders by (f, g, insertion sequence), smallest first; the
+    // sequence number is unique, so the node id never takes part.
+    let mut queue: BinaryHeap<Reverse<(usize, usize, u64, u32)>> = BinaryHeap::new();
+    let mut scratch: Vec<Entry> = Vec::with_capacity(target.cardinality());
     let mut seq = 0u64;
     let mut expanded = 0usize;
     let mut pushed = 0usize;
     let mut frontier = 1usize; // high-water mark; the initial push is below
 
-    dist.insert(canonical_key(target, config.permutation_compression), 0);
-    queue.push(QueueItem {
-        f: heuristic(target),
-        g: 0,
-        seq,
-        state: target.clone(),
-    });
+    let root = arena
+        .intern(target.entries())
+        .expect("an empty arena has room for the root");
+    arena.relax(root, 0, ROOT, 0);
+    queue.push(Reverse((arena.heuristic(root), 0, seq, root)));
 
-    // With compression off (the default) the key IS the state, so lookups
-    // borrow the state directly and the clone is paid only on inserts.
-    let compression = config.permutation_compression;
-    let lookup = |dist: &HashMap<CanonicalKey, usize>, state: &SearchState| -> usize {
-        let best = if compression {
-            dist.get(&canonical_key(state, true))
-        } else {
-            dist.get(state)
-        };
-        best.copied().unwrap_or(usize::MAX)
-    };
-
-    while let Some(QueueItem { g, state, .. }) = queue.pop() {
+    while let Some(Reverse((_, g, _, id))) = queue.pop() {
         if let Some(coordination) = coordination {
             if coordination.is_cancelled() {
                 flush(expanded, pushed, frontier);
@@ -227,10 +327,12 @@ pub fn shortest_reduction_probed(
                 return Err(SearchFailure::Cancelled);
             }
         }
-        if lookup(&dist, &state) < g {
+        if arena.best(id) < g {
             continue; // stale entry
         }
-        if state.is_product() {
+        let entries = Rc::clone(&arena.node(id).entries);
+        let profile = Profile::of(&entries, num_qubits);
+        if profile.is_product() {
             if let Some(coordination) = coordination {
                 if coordination.record_solution(g) {
                     if let Some(probe) = probe {
@@ -238,10 +340,9 @@ pub fn shortest_reduction_probed(
                     }
                 }
             }
-            let reduction_ops = reconstruct_path(&parent, target, &state);
             flush(expanded, pushed, frontier);
             return Ok(SearchOutcome {
-                reduction_ops,
+                reduction_ops: arena.path(id, &library),
                 cnot_cost: g,
                 expanded,
                 pushed,
@@ -249,78 +350,42 @@ pub fn shortest_reduction_probed(
         }
         expanded += 1;
         if expanded > config.max_expanded_nodes {
-            flush(expanded, pushed, frontier);
-            cancelled(CancellationCause::BudgetExhausted);
-            return Err(SearchFailure::Error(
-                SynthesisError::SearchBudgetExhausted { expanded },
-            ));
+            return exhausted(expanded, pushed, frontier);
         }
         let incumbent = coordination.map_or(usize::MAX, SearchCoordination::bound);
-        for op in &library {
-            let Some(next) = state.apply(op) else {
+        for (op_index, op) in (0u32..).zip(&library) {
+            if !state::successor(&entries, num_qubits, profile, op, &mut scratch) {
                 continue;
-            };
+            }
             let tentative = g + op.cnot_cost();
-            let next_key: Cow<'_, CanonicalKey> = if compression {
-                Cow::Owned(canonical_key(&next, true))
-            } else {
-                Cow::Borrowed(&next)
+            let Some(next) = arena.intern(&scratch) else {
+                return exhausted(expanded, pushed, frontier);
             };
-            let best = dist.get(next_key.as_ref()).copied().unwrap_or(usize::MAX);
-            if tentative < best {
-                let f = tentative + heuristic(&next);
+            if tentative < arena.best(next) {
+                let f = tentative + arena.heuristic(next);
                 // A node with f > incumbent cannot beat the already settled
                 // optimum of an equivalent variant; prune it without touching
-                // the distance map so a later, cheaper path stays admissible.
+                // its distance so a later, cheaper path stays admissible.
                 if f > incumbent {
                     continue;
                 }
-                dist.insert(next_key.into_owned(), tentative);
-                parent.insert(next.clone(), (state.clone(), *op));
+                arena.relax(next, tentative, id, op_index);
                 seq += 1;
                 pushed += 1;
-                queue.push(QueueItem {
-                    f,
-                    g: tentative,
-                    seq,
-                    state: next,
-                });
+                queue.push(Reverse((f, tentative, seq, next)));
             }
         }
         frontier = frontier.max(queue.len());
     }
 
-    flush(expanded, pushed, frontier);
     // A drained queue in coordinated mode means every remaining branch was
     // pruned against the incumbent: the race has a winner, this worker lost.
     if coordination.is_some_and(SearchCoordination::is_cancelled) {
+        flush(expanded, pushed, frontier);
         cancelled(CancellationCause::IncumbentRace);
         return Err(SearchFailure::Cancelled);
     }
-    cancelled(CancellationCause::BudgetExhausted);
-    Err(SearchFailure::Error(
-        SynthesisError::SearchBudgetExhausted { expanded },
-    ))
-}
-
-/// Walks the parent map from `goal` back to `start` and returns the
-/// transitions in application (target-to-product) order.
-fn reconstruct_path(
-    parent: &HashMap<SearchState, (SearchState, TransitionOp)>,
-    start: &SearchState,
-    goal: &SearchState,
-) -> Vec<TransitionOp> {
-    let mut ops = Vec::new();
-    let mut current = goal.clone();
-    while &current != start {
-        let Some((previous, op)) = parent.get(&current) else {
-            break;
-        };
-        ops.push(*op);
-        current = previous.clone();
-    }
-    ops.reverse();
-    ops
+    exhausted(expanded, pushed, frontier)
 }
 
 #[cfg(test)]

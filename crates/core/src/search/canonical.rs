@@ -21,11 +21,11 @@
 //! The default key is therefore the **identity** (one distance entry per
 //! concrete search state): sound, frame-independent — every X-flip /
 //! permutation variant of a target returns the bit-identical optimal cost,
-//! which is what the portfolio solver races on — and, because keying is the
-//! per-node hot path, also substantially faster than the `2^n` flip
-//! minimization the compressed key performs on every expansion.
+//! which is what the portfolio solver races on — and also cheaper: the
+//! compressed key tries up to `n! · 2^n` relabellings, once for every
+//! distinct state the search interns.
 
-use super::state::SearchState;
+use super::state::{clear_into, relabel_into, separation, Entry, SearchState};
 
 /// The canonical key of a search state under the configured equivalence.
 pub type CanonicalKey = SearchState;
@@ -50,23 +50,32 @@ const EXHAUSTIVE_PERMUTATION_QUBITS: usize = 6;
 /// the Sec. V-B ablations.
 pub fn canonical_key(state: &SearchState, permutations: bool) -> CanonicalKey {
     if permutations {
-        minimize_over_permutations(&clear_separable_qubits(state))
+        let key = compressed_key(state.entries(), state.num_qubits());
+        SearchState::from_entries(state.num_qubits(), key)
     } else {
         state.clone()
     }
 }
 
+/// The entries of the compressed key of the state with `entries` (see
+/// [`canonical_key`]). The A* arena computes it once per distinct state.
+pub(crate) fn compressed_key(entries: &[Entry], num_qubits: usize) -> Vec<Entry> {
+    minimal_relabelling(&clear_separable_qubits(entries, num_qubits), num_qubits)
+}
+
 /// Clears every separable qubit (they can be rotated to `|0⟩` for free),
 /// repeating until a fixed point because one merge can make another qubit
 /// separable.
-fn clear_separable_qubits(state: &SearchState) -> SearchState {
-    let mut current = state.clone();
+fn clear_separable_qubits(entries: &[Entry], num_qubits: usize) -> Vec<Entry> {
+    let mut current = entries.to_vec();
+    let mut cleared = Vec::with_capacity(current.len());
     loop {
         let mut changed = false;
-        for qubit in 0..current.num_qubits() {
-            if let Some((_, p1)) = current.qubit_separation(qubit) {
+        for qubit in 0..num_qubits {
+            if let Some((_, p1)) = separation(&current, qubit, None) {
                 if p1 > 0 {
-                    current = current.clear_qubit(qubit, None);
+                    clear_into(&current, qubit, None, &mut cleared);
+                    std::mem::swap(&mut current, &mut cleared);
                     changed = true;
                 }
             }
@@ -77,48 +86,42 @@ fn clear_separable_qubits(state: &SearchState) -> SearchState {
     }
 }
 
-fn minimize_over_flips(state: &SearchState) -> SearchState {
-    let n = state.num_qubits();
-    if n <= EXHAUSTIVE_FLIP_QUBITS {
-        let mut best = state.clone();
-        for mask in 1u64..(1u64 << n) {
-            let mut candidate = state.clone();
-            for q in 0..n {
-                if (mask >> q) & 1 == 1 {
-                    candidate = candidate.flip_qubit(q);
+/// The lexicographically smallest relabelling of `entries` under X-flip
+/// masks (exhaustive up to [`EXHAUSTIVE_FLIP_QUBITS`], a greedy per-qubit
+/// pass beyond) and qubit permutations (up to
+/// [`EXHAUSTIVE_PERMUTATION_QUBITS`] only). Candidates are built in two
+/// reusable buffers.
+fn minimal_relabelling(entries: &[Entry], num_qubits: usize) -> Vec<Entry> {
+    let n = num_qubits;
+    let mut best = entries.to_vec();
+    let mut permuted = Vec::with_capacity(entries.len());
+    let mut candidate = Vec::with_capacity(entries.len());
+    let mut visit = |perm: Option<&[usize]>| {
+        if n <= EXHAUSTIVE_FLIP_QUBITS {
+            relabel_into(entries, perm, 0, &mut permuted);
+            for mask in 0u64..(1u64 << n) {
+                relabel_into(&permuted, None, mask, &mut candidate);
+                if candidate < best {
+                    best.clone_from(&candidate);
                 }
             }
-            if candidate < best {
-                best = candidate;
+        } else {
+            // Greedy: flip one qubit at a time, keeping each improvement.
+            for q in 0..n {
+                relabel_into(&best, None, 1u64 << q, &mut candidate);
+                if candidate < best {
+                    std::mem::swap(&mut best, &mut candidate);
+                }
             }
         }
-        best
+    };
+    if n <= EXHAUSTIVE_PERMUTATION_QUBITS {
+        let mut perm: Vec<usize> = (0..n).collect();
+        permute_recursive(&mut perm, 0, &mut |p| visit(Some(p)));
     } else {
-        let mut best = state.clone();
-        for q in 0..n {
-            let candidate = best.flip_qubit(q);
-            if candidate < best {
-                best = candidate;
-            }
-        }
-        best
+        visit(None);
     }
-}
-
-fn minimize_over_permutations(state: &SearchState) -> SearchState {
-    let n = state.num_qubits();
-    if n > EXHAUSTIVE_PERMUTATION_QUBITS {
-        return minimize_over_flips(state);
-    }
-    let mut best: Option<SearchState> = None;
-    let mut perm: Vec<usize> = (0..n).collect();
-    permute_recursive(&mut perm, 0, &mut |p| {
-        let candidate = minimize_over_flips(&state.permute(p));
-        if best.as_ref().is_none_or(|b| candidate < *b) {
-            best = Some(candidate);
-        }
-    });
-    best.unwrap_or_else(|| state.clone())
+    best
 }
 
 fn permute_recursive<F: FnMut(&[usize])>(perm: &mut Vec<usize>, start: usize, visit: &mut F) {

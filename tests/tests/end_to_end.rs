@@ -173,3 +173,35 @@ fn qasm_export_of_a_synthesized_circuit_is_loadable_text() {
     assert!(qasm.contains("qreg q[4];"));
     assert!(qasm.matches("cx ").count() >= circuit.cnot_cost());
 }
+
+/// `r(|000⟩ + |111⟩) + a|010⟩` for amplitudes on both sides of the search's
+/// probability grid (`a² · 2⁴⁰` rounds to zero below `a ≈ 6.7e-7`): the
+/// search and the angle replay must agree on the support, so every
+/// front door returns a circuit that prepares the target.
+#[test]
+fn tiny_amplitudes_below_the_search_grid_still_verify() {
+    use qsp_core::{ExactSynthesizer, SynthesisRequest};
+    use qsp_state::BasisIndex;
+
+    for a in [1e-9, 1e-7, 5e-7, 1e-6] {
+        let r = ((1.0 - a * a) / 2.0f64).sqrt();
+        let target = SparseState::from_amplitudes(
+            3,
+            [
+                (BasisIndex::new(0b000), r),
+                (BasisIndex::new(0b111), r),
+                (BasisIndex::new(0b010), a),
+            ],
+        )
+        .unwrap();
+        let request = SynthesisRequest::new(target.clone());
+        let exact = ExactSynthesizer::new()
+            .synthesize_request(&request)
+            .unwrap_or_else(|e| panic!("exact synthesis failed for a = {a}: {e}"));
+        verify_circuit(&format!("exact a={a}"), &exact.circuit, &target);
+        let workflow = QspWorkflow::new()
+            .synthesize_request(&request)
+            .unwrap_or_else(|e| panic!("workflow failed for a = {a}: {e}"));
+        verify_circuit(&format!("workflow a={a}"), &workflow.circuit, &target);
+    }
+}
