@@ -128,7 +128,9 @@ struct Arena {
     num_qubits: usize,
     use_heuristic: bool,
     nodes: Vec<Node>,
-    ids: HashMap<Rc<[Entry]>, u32>,
+    /// Node id and distance slot per interned state: a successor's lookup
+    /// reaches its best `g` without touching its node.
+    ids: HashMap<Rc<[Entry]>, (u32, u32)>,
     /// Best known `g` per distance slot (`usize::MAX` until reached).
     best: Vec<usize>,
     /// The slot of every canonical key seen (compression only).
@@ -147,11 +149,12 @@ impl Arena {
         }
     }
 
-    /// The id of the state with `entries`, interning it on first sight.
-    /// `None` when the state would be the arena's `2^32`-th: ids never wrap.
-    fn intern(&mut self, entries: &[Entry]) -> Option<u32> {
-        if let Some(&id) = self.ids.get(entries) {
-            return Some(id);
+    /// The node id and distance slot of the state with `entries`, interning
+    /// it on first sight. `None` when the state would be the arena's
+    /// `2^32`-th: ids never wrap.
+    fn intern(&mut self, entries: &[Entry]) -> Option<(u32, u32)> {
+        if let Some(&found) = self.ids.get(entries) {
+            return Some(found);
         }
         let id = u32::try_from(self.nodes.len()).ok()?;
         let slot = match &mut self.classes {
@@ -172,7 +175,7 @@ impl Arena {
             self.best.push(usize::MAX);
         }
         let entries: Rc<[Entry]> = Rc::from(entries);
-        self.ids.insert(Rc::clone(&entries), id);
+        self.ids.insert(Rc::clone(&entries), (id, slot));
         self.nodes.push(Node {
             entries,
             slot,
@@ -180,15 +183,15 @@ impl Arena {
             op: 0,
             h: None,
         });
-        Some(id)
+        Some((id, slot))
     }
 
     fn node(&self, id: u32) -> &Node {
         &self.nodes[id as usize]
     }
 
-    fn best(&self, id: u32) -> usize {
-        self.best[self.node(id).slot as usize]
+    fn best(&self, slot: u32) -> usize {
+        self.best[slot as usize]
     }
 
     /// Records `g` as the best distance of `id`'s slot, reached from
@@ -315,7 +318,8 @@ pub fn shortest_reduction_probed(
 
     let root = arena
         .intern(target.entries())
-        .expect("an empty arena has room for the root");
+        .expect("an empty arena has room for the root")
+        .0;
     arena.relax(root, 0, ROOT, 0);
     queue.push(Reverse((arena.heuristic(root), 0, seq, root)));
 
@@ -327,7 +331,7 @@ pub fn shortest_reduction_probed(
                 return Err(SearchFailure::Cancelled);
             }
         }
-        if arena.best(id) < g {
+        if arena.best(arena.node(id).slot) < g {
             continue; // stale entry
         }
         let entries = Rc::clone(&arena.node(id).entries);
@@ -358,10 +362,10 @@ pub fn shortest_reduction_probed(
                 continue;
             }
             let tentative = g + op.cnot_cost();
-            let Some(next) = arena.intern(&scratch) else {
+            let Some((next, slot)) = arena.intern(&scratch) else {
                 return exhausted(expanded, pushed, frontier);
             };
-            if tentative < arena.best(next) {
+            if tentative < arena.best(slot) {
                 let f = tentative + arena.heuristic(next);
                 // A node with f > incumbent cannot beat the already settled
                 // optimum of an equivalent variant; prune it without touching
