@@ -180,7 +180,7 @@ fn qasm_export_of_a_synthesized_circuit_is_loadable_text() {
 /// front door returns a circuit that prepares the target.
 #[test]
 fn tiny_amplitudes_below_the_search_grid_still_verify() {
-    use qsp_core::{ExactSynthesizer, SynthesisRequest};
+    use qsp_core::{BatchSynthesizer, ExactSynthesizer, SynthesisRequest};
     use qsp_state::BasisIndex;
 
     for a in [1e-9, 1e-7, 5e-7, 1e-6] {
@@ -203,5 +203,9 @@ fn tiny_amplitudes_below_the_search_grid_still_verify() {
             .synthesize_request(&request)
             .unwrap_or_else(|e| panic!("workflow failed for a = {a}: {e}"));
         verify_circuit(&format!("workflow a={a}"), &workflow.circuit, &target);
+        let batch = BatchSynthesizer::new()
+            .synthesize_request(&request)
+            .unwrap_or_else(|e| panic!("batch engine failed for a = {a}: {e}"));
+        verify_circuit(&format!("batch a={a}"), &batch.circuit, &target);
     }
 }
