@@ -46,9 +46,14 @@
 //!   are cache hits.
 //! * **One-shot completion handles and deterministic shutdown** —
 //!   [`RequestHandle::wait`]/[`RequestHandle::wait_timeout`] block on a
-//!   lightweight one-shot; [`SynthesisService::shutdown`] either drains
+//!   lightweight one-shot, and [`RequestHandle::on_complete`] registers a
+//!   hook that runs once, with the response, on whichever thread settles
+//!   the request (at once if it already has), so a front end can track
+//!   many requests without parking a thread on each; the hook must not
+//!   block or panic. [`SynthesisService::shutdown`] either drains
 //!   ([`Shutdown::Drain`]) or fails pending work with
-//!   [`Response::Cancelled`] ([`Shutdown::Abort`]) — handles never hang.
+//!   [`Response::Cancelled`] ([`Shutdown::Abort`]) — handles never hang,
+//!   and hooks always fire.
 //!
 //! Observability rides on the engine's [`qsp_obs::ObsHub`]: every service
 //! counter and latency histogram is a `serve.*` metric in the hub's

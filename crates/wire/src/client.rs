@@ -49,6 +49,9 @@ impl WireClient {
     /// other non-ack reply.
     pub fn connect(addr: impl ToSocketAddrs, tenant: Option<&str>) -> Result<Self, WireError> {
         let stream = TcpStream::connect(addr)?;
+        // Pipelined requests are small frames: without this, Nagle's
+        // algorithm holds each one back until the server's delayed ACK.
+        stream.set_nodelay(true)?;
         let mut client = WireClient {
             stream,
             handshake: Handshake {
@@ -173,5 +176,28 @@ impl WireClient {
 
     fn send_frame(&mut self, frame: &ClientFrame) -> Result<(), WireError> {
         codec::write_frame(&mut self.stream, &frame.to_payload(), self.max_frame)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use qsp_serve::{ServiceConfig, SynthesisService};
+
+    use super::*;
+    use crate::{WireConfig, WireServer};
+
+    #[test]
+    fn connect_sets_nodelay() {
+        let service = Arc::new(SynthesisService::start(ServiceConfig::default()));
+        let mut server = WireServer::bind("127.0.0.1:0", service, WireConfig::new()).unwrap();
+        let client = WireClient::connect(server.local_addr(), None).unwrap();
+        assert!(
+            client.stream.nodelay().unwrap(),
+            "pipelined frames must not wait on Nagle's algorithm"
+        );
+        drop(client);
+        server.shutdown();
     }
 }

@@ -12,12 +12,15 @@
 //!   `failed` replies correlated by client-chosen ids. Amplitudes travel as
 //!   exact `f64` bit patterns, so served costs are identical to in-process
 //!   solves of the same targets.
-//! - **[`server`]** — [`WireServer`]: an acceptor plus per-connection
-//!   protocol loops; each in-flight request settles on its own waiter
-//!   thread so slow solves never head-of-line-block the decode path.
-//!   Tenancy is connection-scoped: the hello's tenant name routes every
-//!   request on the connection through that tenant's admission bucket and
-//!   weighted-fair sub-queue in the serve layer.
+//! - **[`server`]** — [`WireServer`]: an acceptor plus a reader and a
+//!   writer thread per connection. Each accepted request's completion hook
+//!   hands its response to the writer, which renders and writes replies in
+//!   completion order, so slow solves never head-of-line-block the decode
+//!   path or a later cache hit, and no thread exists per request. Both
+//!   ends set `TCP_NODELAY`. Tenancy is connection-scoped: the hello's
+//!   tenant name routes every request on the connection through that
+//!   tenant's admission bucket and weighted-fair sub-queue in the serve
+//!   layer.
 //! - **[`client`]** — [`WireClient`]: a blocking client with pipelined
 //!   sends and a one-shot [`call`](WireClient::call) path.
 //!

@@ -1,12 +1,21 @@
 //! The wire server: TCP acceptor + per-connection protocol loops in front
 //! of a shared [`SynthesisService`].
 //!
-//! Each accepted connection runs the handshake, then decodes pipelined
-//! request frames and submits them to the service. Responses are written as
-//! each request settles — a waiter thread per in-flight request shares the
-//! connection's write half through a mutex, so a slow solve never blocks
-//! the decode loop and responses may legally overtake each other on the
-//! wire (the request `id` correlates them).
+//! Each accepted connection gets two threads. The reader runs the
+//! handshake, then decodes pipelined request frames and submits them to the
+//! service; each accepted request registers a completion hook
+//! ([`RequestHandle::on_complete`](qsp_serve::RequestHandle::on_complete))
+//! that hands its `(id, response)` to the connection's outgoing channel.
+//! The writer drains that channel, renders each frame (QASM and JSON) and
+//! is the only code that writes to the socket. Replies therefore leave in
+//! completion order, not submission order: a slow solve never holds back a
+//! later cache hit, and responses may legally overtake each other on the
+//! wire (the request `id` correlates them). No thread is spawned or parked
+//! per request.
+//!
+//! Both ends set `TCP_NODELAY`: pipelined small frames would otherwise meet
+//! Nagle's algorithm on one side and delayed ACKs on the other, stalling
+//! replies for tens of milliseconds.
 //!
 //! Tenancy is connection-scoped: the hello's tenant name is resolved
 //! against the service's [`TenantPolicy`](qsp_serve::TenantPolicy) once,
@@ -14,9 +23,11 @@
 //! bucket and fair-share queue. An unknown or absent tenant name falls
 //! back to the default tenant (the ack names which one was resolved).
 
+use std::collections::HashMap;
 use std::io::Read;
 use std::net::{Shutdown as SocketShutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -82,19 +93,22 @@ impl WireCounters {
     }
 }
 
+/// A clone of every live connection's socket, keyed by connection number,
+/// so [`WireServer::shutdown`] can close them. A connection removes its own
+/// entry when it ends.
+type LiveConnections = Arc<Mutex<HashMap<u64, TcpStream>>>;
+
 /// A TCP server exposing a [`SynthesisService`] over the framed protocol.
 ///
-/// Dropping the server without calling [`WireServer::shutdown`] leaks the
-/// acceptor thread until the process exits; call `shutdown` for a clean
-/// teardown (it stops accepting, closes live connections and joins every
-/// spawned thread). The underlying service is *not* shut down — it is
-/// shared and may outlive the listener.
+/// [`WireServer::shutdown`] (also run on drop) stops accepting, closes live
+/// connections and joins every spawned thread. The underlying service is
+/// *not* shut down — it is shared and may outlive the listener.
 #[derive(Debug)]
 pub struct WireServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    conns: LiveConnections,
 }
 
 impl WireServer {
@@ -108,7 +122,7 @@ impl WireServer {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns = LiveConnections::default();
         let counters = WireCounters::new(&service);
         let accept_thread = {
             let stop = Arc::clone(&stop);
@@ -141,7 +155,7 @@ impl WireServer {
         let _ = TcpStream::connect(self.addr);
         // Close live connections so their decode loops see EOF.
         if let Ok(conns) = self.conns.lock() {
-            for conn in conns.iter() {
+            for conn in conns.values() {
                 let _ = conn.shutdown(SocketShutdown::Both);
             }
         }
@@ -163,10 +177,17 @@ fn accept_loop(
     config: WireConfig,
     counters: WireCounters,
     stop: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    conns: LiveConnections,
 ) {
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    for incoming in listener.incoming() {
+    for (number, incoming) in (0u64..).zip(listener.incoming()) {
+        // Join the connections that have ended since the last accept.
+        let (finished, live): (Vec<_>, Vec<_>) =
+            workers.drain(..).partition(JoinHandle::is_finished);
+        workers = live;
+        for worker in finished {
+            let _ = worker.join();
+        }
         if stop.load(Ordering::SeqCst) {
             break;
         }
@@ -175,16 +196,26 @@ fn accept_loop(
             Err(_) => continue,
         };
         counters.connections.inc();
+        let _ = stream.set_nodelay(true);
         if let Ok(tracked) = stream.try_clone() {
-            if let Ok(mut conns) = conns.lock() {
-                conns.push(tracked);
+            if let Ok(mut live) = conns.lock() {
+                // `shutdown` raises `stop` before it closes the tracked set,
+                // so a connection that would miss that close sees it here.
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                live.insert(number, tracked);
             }
         }
         let service = Arc::clone(&service);
         let counters = counters.clone();
+        let conns = Arc::clone(&conns);
         let max_frame = config.max_frame;
         workers.push(thread::spawn(move || {
             serve_connection(stream, service, max_frame, counters);
+            if let Ok(mut live) = conns.lock() {
+                live.remove(&number);
+            }
         }));
     }
     for worker in workers {
@@ -192,26 +223,13 @@ fn accept_loop(
     }
 }
 
-/// The shared write half of a connection. Responses from concurrent waiter
-/// threads interleave frame-atomically through the mutex.
-#[derive(Debug, Clone)]
-struct ConnectionWriter {
-    stream: Arc<Mutex<TcpStream>>,
-    max_frame: usize,
-    frames_out: Counter,
-}
-
-impl ConnectionWriter {
-    fn send(&self, frame: &ServerFrame) -> Result<(), WireError> {
-        let payload = frame.to_payload();
-        let mut stream = self
-            .stream
-            .lock()
-            .map_err(|_| WireError::Protocol("connection writer poisoned".to_string()))?;
-        codec::write_frame(&mut *stream, &payload, self.max_frame)?;
-        self.frames_out.inc();
-        Ok(())
-    }
+/// A frame bound for the connection's writer thread.
+enum Outgoing {
+    /// A connection-level frame (`hello_ack`, `rejected`, or the terminal
+    /// `error`).
+    Frame(ServerFrame),
+    /// A settled request, rendered on the writer thread.
+    Reply(u64, Response),
 }
 
 fn serve_connection(
@@ -220,26 +238,59 @@ fn serve_connection(
     max_frame: usize,
     counters: WireCounters,
 ) {
-    let reader = match stream.try_clone() {
-        Ok(reader) => reader,
-        Err(_) => return,
+    let Ok(write_half) = stream.try_clone() else {
+        return;
     };
-    let writer = ConnectionWriter {
-        stream: Arc::new(Mutex::new(stream)),
-        max_frame,
-        frames_out: counters.frames_out.clone(),
-    };
-    if let Err(error) = connection_loop(reader, &writer, &service, max_frame, &counters) {
+    let (outgoing, queued) = mpsc::channel();
+    let frames_out = counters.frames_out.clone();
+    let writer = thread::spawn(move || write_loop(write_half, queued, max_frame, frames_out));
+    if let Err(error) = connection_loop(&stream, &outgoing, &service, max_frame, &counters) {
         counters.errors.inc();
         // Best-effort terminal error frame; the peer may already be gone.
-        let _ = writer.send(&error_frame(&error));
+        let _ = outgoing.send(Outgoing::Frame(error_frame(&error)));
     }
+    // The writer runs until every accepted request's hook has dropped its
+    // sender (each request settled and was written), the terminal error
+    // frame is out, or the socket fails.
+    drop(outgoing);
+    let _ = writer.join();
     // Shut the socket down explicitly: the acceptor's tracked clone holds
     // another fd on it, so a plain drop would leave the connection open and
     // the peer would never see EOF.
-    if let Ok(stream) = writer.stream.lock() {
-        let _ = stream.shutdown(SocketShutdown::Both);
-    };
+    let _ = stream.shutdown(SocketShutdown::Both);
+}
+
+/// The connection's only socket writer: renders and writes each outgoing
+/// frame as it arrives, one `write_all` per frame.
+fn write_loop(
+    mut stream: TcpStream,
+    queued: Receiver<Outgoing>,
+    max_frame: usize,
+    frames_out: Counter,
+) {
+    for message in queued {
+        let (frame, terminal) = match message {
+            Outgoing::Reply(id, response) => (response_frame(id, &response), false),
+            Outgoing::Frame(frame) => {
+                let terminal = matches!(frame, ServerFrame::Error { .. });
+                (frame, terminal)
+            }
+        };
+        match codec::write_frame(&mut stream, &frame.to_payload(), max_frame) {
+            Ok(()) => frames_out.inc(),
+            // The socket failed: stop the reader too, and let pending
+            // hooks' sends fall on a closed channel.
+            Err(WireError::Io(_)) => {
+                let _ = stream.shutdown(SocketShutdown::Both);
+                return;
+            }
+            // A frame over the bound is dropped; the connection stays up.
+            Err(_) => {}
+        }
+        if terminal {
+            return;
+        }
+    }
 }
 
 fn error_frame(error: &WireError) -> ServerFrame {
@@ -306,9 +357,11 @@ fn reject_reason_label(reason: RejectReason) -> &'static str {
     }
 }
 
+/// The connection's reader: decodes frames and submits requests until EOF
+/// or a protocol error.
 fn connection_loop(
-    mut reader: TcpStream,
-    writer: &ConnectionWriter,
+    mut reader: &TcpStream,
+    outgoing: &Sender<Outgoing>,
     service: &SynthesisService,
     max_frame: usize,
     counters: &WireCounters,
@@ -317,7 +370,11 @@ fn connection_loop(
     let mut buf = [0u8; 4096];
     let mut handshaken = false;
     let mut tenant = None;
-    let mut waiters: Vec<JoinHandle<()>> = Vec::new();
+    // A send fails only once the writer has exited on a dead socket, which
+    // it also shuts down, so the next read ends this loop.
+    let send = |frame: ServerFrame| {
+        let _ = outgoing.send(Outgoing::Frame(frame));
+    };
     'read: loop {
         let n = match reader.read(&mut buf) {
             Ok(0) => break 'read,
@@ -358,11 +415,11 @@ fn connection_loop(
                         .map(|t| t.name)
                         .unwrap_or_else(|| DEFAULT_TENANT_NAME.to_string());
                     handshaken = true;
-                    writer.send(&ServerFrame::HelloAck {
+                    send(ServerFrame::HelloAck {
                         version: PROTOCOL_VERSION,
                         tenant: resolved,
                         max_frame: max_frame as u64,
-                    })?;
+                    });
                 }
                 ClientFrame::Request {
                     id,
@@ -388,25 +445,72 @@ fn connection_loop(
                     let request = SynthesisRequest::new(target).with_options(options);
                     match service.submit(request) {
                         Submit::Accepted(handle) => {
-                            let writer = writer.clone();
-                            waiters.push(thread::spawn(move || {
-                                let response = handle.wait();
-                                let _ = writer.send(&response_frame(id, &response));
-                            }));
+                            let outgoing = outgoing.clone();
+                            handle.on_complete(move |response| {
+                                let _ = outgoing.send(Outgoing::Reply(id, response));
+                            });
                         }
                         Submit::Rejected { reason } => {
-                            writer.send(&ServerFrame::Rejected {
+                            send(ServerFrame::Rejected {
                                 id,
                                 reason: reject_reason_label(reason).to_string(),
-                            })?;
+                            });
                         }
                     }
                 }
             }
         }
     }
-    for waiter in waiters {
-        let _ = waiter.join();
-    }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use qsp_serve::ServiceConfig;
+
+    use super::*;
+    use crate::WireClient;
+
+    fn server() -> WireServer {
+        let service = Arc::new(SynthesisService::start(ServiceConfig::default()));
+        WireServer::bind("127.0.0.1:0", service, WireConfig::new()).unwrap()
+    }
+
+    fn live(server: &WireServer) -> usize {
+        server.conns.lock().unwrap().len()
+    }
+
+    #[test]
+    fn accepted_sockets_set_nodelay() {
+        let mut server = server();
+        let client = WireClient::connect(server.local_addr(), None).unwrap();
+        // The ack came from the connection thread, which is spawned only
+        // after the accepted socket joined the tracked set.
+        let tracked: Vec<bool> = server
+            .conns
+            .lock()
+            .unwrap()
+            .values()
+            .map(|conn| conn.nodelay().unwrap())
+            .collect();
+        assert_eq!(tracked, [true], "the accepted socket sets TCP_NODELAY");
+        drop(client);
+        server.shutdown();
+    }
+
+    #[test]
+    fn ended_connections_leave_the_tracked_set() {
+        let mut server = server();
+        for _ in 0..300 {
+            drop(WireClient::connect(server.local_addr(), None).unwrap());
+        }
+        // Each connection drops its tracked socket once its threads are
+        // done; give the last few a bounded moment to finish.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while live(&server) > 0 && Instant::now() < deadline {
+            thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(live(&server), 0, "ended connections must not hold an fd");
+        server.shutdown();
+    }
 }
