@@ -18,7 +18,7 @@
 //! Every family mixes in repeated targets so deduplication has something to
 //! do. The sequential arm drives the workflow through
 //! [`StatePreparator::prepare_many`]; the batch arm is one
-//! `synthesize_batch` call. Per-stage timings (keying / planning / solving /
+//! `synthesize_requests` call. Per-stage timings (keying / planning / solving /
 //! assembly) come from [`BatchStats`].
 //!
 //! Both arms run `--reps` times and report the *minimum* wall time — the
@@ -660,9 +660,8 @@ fn main() {
             let engine = BatchSynthesizer::with_options(Default::default(), options);
             if let Some(path) = &warm_start {
                 let adopted = engine
-                    .cache()
-                    .merge_snapshot(std::path::Path::new(path))
-                    .expect("merge --warm-start snapshot");
+                    .load_cache_snapshot(path)
+                    .expect("load --warm-start snapshot");
                 eprintln!("family {name}: warm-started {adopted} classes from {path}");
             }
             engine

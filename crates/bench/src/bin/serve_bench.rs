@@ -5,9 +5,13 @@
 //!
 //! * `burst_skewed` — the whole skewed request mix submitted closed-loop
 //!   (as fast as the queue accepts). This is the apples-to-apples capacity
-//!   comparison against one direct `synthesize_batch` call on the same
+//!   comparison against one direct `synthesize_requests` call on the same
 //!   request set with the same thread count: the service must stay within
-//!   `0.9x` of the batch engine's throughput.
+//!   `0.9x` of the batch engine's throughput. Both arms run three
+//!   interleaved times, each on a fresh engine or service, and the gate
+//!   compares their *minimum* wall times (one pass each spreads too widely
+//!   on a shared host to gate on); phase stats, costs and the report come
+//!   from the first rep.
 //! * `open_loop_steady` — Poisson-ish arrivals (exponential inter-arrival
 //!   gaps from `qsp-rand`) at a rate the service keeps up with, generous
 //!   deadlines: measures p50/p95/p99 latency at steady state.
@@ -42,6 +46,9 @@ use qsp_state::generators::Workload;
 use qsp_state::SparseState;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Interleaved repetitions of the batch arm and the burst phase.
+const BURST_REPS: usize = 3;
 
 /// One request of a replayed workload.
 struct ArrivalRequest {
@@ -349,47 +356,57 @@ fn main() {
         }
     }
 
-    // --- Direct batch arm (the throughput baseline) ----------------------
-    eprintln!("running direct synthesize_requests baseline...");
-    let batch_engine = BatchSynthesizer::with_options(
-        Default::default(),
-        BatchOptions::default().with_threads(workers),
-    );
+    // --- Direct batch arm vs. closed-loop burst of the same request set ---
     let burst_requests: Vec<SynthesisRequest<SparseState>> = burst_targets
         .iter()
         .map(|t| SynthesisRequest::new(t.clone()))
         .collect();
-    let batch_start = Instant::now();
-    let batch_outcome = batch_engine.synthesize_requests(&burst_requests);
-    let batch_wall = batch_start.elapsed();
-    assert_eq!(
-        batch_outcome.stats.errors, 0,
-        "batch baseline must not fail"
-    );
+    let mut batch_wall = Duration::MAX;
+    let mut service_ms = f64::INFINITY;
+    let mut first_rep = None;
+    for rep in 0..BURST_REPS {
+        eprintln!(
+            "burst rep {}/{BURST_REPS}: direct synthesize_requests baseline...",
+            rep + 1
+        );
+        let batch_engine = BatchSynthesizer::with_options(
+            Default::default(),
+            BatchOptions::default().with_threads(workers),
+        );
+        let batch_start = Instant::now();
+        let batch_outcome = batch_engine.synthesize_requests(&burst_requests);
+        batch_wall = batch_wall.min(batch_start.elapsed());
+        assert_eq!(
+            batch_outcome.stats.errors, 0,
+            "batch baseline must not fail"
+        );
 
-    // --- Phase 1: closed-loop burst of the same request set --------------
-    let burst = run_phase(
-        "burst_skewed",
-        burst_targets
-            .iter()
-            .map(|target| ArrivalRequest {
-                target: target.clone(),
-                offset: Duration::ZERO,
-                budget: None,
-            })
-            .collect(),
-        workers,
-        max_batch,
-        total,
-        None,
-        &cost_map,
-    );
+        let burst = run_phase(
+            "burst_skewed",
+            burst_targets
+                .iter()
+                .map(|target| ArrivalRequest {
+                    target: target.clone(),
+                    offset: Duration::ZERO,
+                    budget: None,
+                })
+                .collect(),
+            workers,
+            max_batch,
+            total,
+            None,
+            &cost_map,
+        );
+        assert!(
+            burst.stats.rejected == 0,
+            "burst phase sized its queue to its request count"
+        );
+        service_ms = service_ms.min(burst.wall_ms);
+        first_rep.get_or_insert((batch_outcome, burst));
+    }
+    let (batch_outcome, burst) = first_rep.expect("at least one burst rep");
     let batch_ms = batch_wall.as_secs_f64() * 1e3;
-    let throughput_ratio = batch_ms / burst.wall_ms.max(1e-9);
-    assert!(
-        burst.stats.rejected == 0,
-        "burst phase sized its queue to its request count"
-    );
+    let throughput_ratio = batch_ms / service_ms.max(1e-9);
 
     // --- Phase 2: steady open-loop arrivals ------------------------------
     let steady_rate = if smoke { 150.0 } else { 250.0 };
@@ -462,8 +479,9 @@ fn main() {
 
     // --- Report ----------------------------------------------------------
     let service_vs_batch = Value::Object(vec![
+        ("reps".to_string(), Value::Num(BURST_REPS as u64)),
         ("batch_ms".to_string(), Value::Float(batch_ms)),
-        ("service_ms".to_string(), Value::Float(burst.wall_ms)),
+        ("service_ms".to_string(), Value::Float(service_ms)),
         (
             "throughput_ratio".to_string(),
             Value::Float(throughput_ratio),
@@ -500,7 +518,7 @@ fn main() {
     ]);
     assert!(
         throughput_ratio >= 0.9,
-        "service throughput fell below 0.9x of synthesize_batch ({throughput_ratio:.3})"
+        "service throughput fell below 0.9x of synthesize_requests ({throughput_ratio:.3}, min of {BURST_REPS} reps)"
     );
 
     let json = report.to_json_pretty();

@@ -73,7 +73,8 @@ pub enum CachePolicy {
     /// re-solve the class — always sound, occasionally redundant.
     ReadOnly,
     /// Ignore the cache entirely: no probe, no in-flight attach, no
-    /// publish. The request is always a fresh, independent solve.
+    /// publish. The request is always a fresh, independent solve — the way
+    /// to opt a request out of deduplication.
     Bypass,
 }
 
@@ -592,11 +593,6 @@ impl SynthesisReport {
 /// Implemented by [`crate::ExactSynthesizer`], [`crate::QspWorkflow`] and
 /// [`crate::BatchSynthesizer`]; `qsp-serve` exposes the same contract
 /// asynchronously through `SynthesisService::submit`.
-///
-/// Note: on types that still carry their deprecated state-based `synthesize`
-/// inherent method, call the trait method through the inherent alias
-/// `synthesize_request` (or via `Synthesizer::synthesize(&s, &request)`) —
-/// Rust's method resolution prefers the inherent name.
 pub trait Synthesizer<S: QuantumState> {
     /// Synthesizes one request into a provenance-rich report.
     ///
@@ -705,6 +701,17 @@ mod tests {
         });
         let via_override = RequestOptions::new().with_node_budget(7).resolve(&base);
         assert_eq!(via_base.fingerprint, via_override.fingerprint);
+    }
+
+    #[test]
+    fn fingerprints_are_stable_across_builds() {
+        // Snapshot keys carry these values: a change here turns every saved
+        // snapshot into misses.
+        let base = WorkflowConfig::default();
+        assert_eq!(cost_fingerprint(&base), 0xb29e_794f_0391_2fc2);
+        let compressed =
+            base.with_search(SearchConfig::default().with_permutation_compression(true));
+        assert_eq!(cost_fingerprint(&compressed), 0x29f2_fba3_6c51_75e3);
     }
 
     #[test]

@@ -109,38 +109,6 @@ use crate::exact::replay_reduction;
 use crate::search::config::CacheConfig;
 use crate::workflow::{QspWorkflow, WorkflowConfig};
 
-/// How aggressively the batch engine deduplicates targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DedupPolicy {
-    /// No deduplication: every target is solved independently (still in
-    /// parallel). The cache is bypassed entirely.
-    Off,
-    /// Deduplicate exactly identical states only.
-    Exact,
-    /// Deduplicate the Sec. V-B equivalence class: states identical up to
-    /// qubit permutation and Pauli-X flips are solved once, through the
-    /// staged invariant pipeline of [`qsp_state::pipeline`]. Keying is
-    /// *tiered* ([`qsp_state::pipeline::key_tiered`]): the engine interns
-    /// stage-0 signatures, so a target whose signature is fresh — or an
-    /// exact raw repeat of an interned anchor — keys on the signature alone
-    /// ([`BatchStats::keys_sig_fast_path`]) without enumerating any
-    /// permutations; only genuine signature collisions run full
-    /// canonicalization. The full tier's coverage is bounded by work, not
-    /// width: permutations are enumerated within the per-qubit color
-    /// *orbits* (`∏ |orbit|!` candidates instead of `n!`) under
-    /// [`BatchOptions::orbit_node_budget`] with a lazy branch-and-bound
-    /// over orbit blocks, and the optimal flip mask is found exactly among
-    /// the `m` support indices (up to
-    /// [`qsp_state::pipeline::EXHAUSTIVE_FLIP_CARDINALITY`]). Targets
-    /// whose orbit enumeration still exhausts the budget fall back to a
-    /// deterministic greedy key — still sound, possibly solving equivalent
-    /// wide targets separately (exact duplicates always hit). The
-    /// [`BatchStats::keys_greedy`] counter makes that degradation
-    /// observable.
-    #[default]
-    Canonical,
-}
-
 /// A target's canonical class as computed by the keying pipeline: the cache
 /// key (signature + canonical entries + options fingerprint), the witness
 /// transform mapping the target onto the key's entries, and the coverage
@@ -164,15 +132,19 @@ pub struct KeyedClass {
 pub struct BatchOptions {
     /// Worker threads; `0` uses the machine's available parallelism.
     pub threads: usize,
-    /// Deduplication policy.
-    pub dedup: DedupPolicy,
     /// Sharding and eviction policy of the canonical cache.
     pub cache: CacheConfig,
     /// Budget on `(permutation, flip-mask)` candidates the canonical keying
-    /// pipeline may enumerate per target before degrading to the greedy key
-    /// (see [`DedupPolicy::Canonical`]). Keying must stay far cheaper than
-    /// the solves it deduplicates; raise this for workloads dominated by
-    /// wide, highly symmetric targets whose solves are expensive.
+    /// pipeline may enumerate per target before degrading to the greedy key.
+    /// Permutations are enumerated within the per-qubit color *orbits*
+    /// (`∏ |orbit|!` candidates instead of `n!`), with a lazy
+    /// branch-and-bound over orbit blocks past the budget; a target that
+    /// still exhausts it gets a deterministic greedy key — sound, but
+    /// possibly solving equivalent wide targets separately (exact
+    /// duplicates always hit), which [`BatchStats::keys_greedy`] counts.
+    /// Keying must stay far cheaper than the solves it deduplicates; raise
+    /// this for workloads dominated by wide, highly symmetric targets whose
+    /// solves are expensive.
     pub orbit_node_budget: usize,
     /// Observability options of the engine's [`ObsHub`]: per-request ring
     /// tracing, the solver flight recorder and cache probe/evict timing are
@@ -184,12 +156,6 @@ impl BatchOptions {
     /// Sets the worker-thread count (`0` = available parallelism).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the deduplication policy.
-    pub fn with_dedup(mut self, dedup: DedupPolicy) -> Self {
-        self.dedup = dedup;
         self
     }
 
@@ -217,7 +183,6 @@ impl Default for BatchOptions {
     fn default() -> Self {
         BatchOptions {
             threads: 0,
-            dedup: DedupPolicy::Canonical,
             cache: CacheConfig::default(),
             orbit_node_budget: pipeline::DEFAULT_ORBIT_NODE_BUDGET,
             obs: ObsOptions::default(),
@@ -251,9 +216,7 @@ pub struct BatchStats {
     /// Number of targets that failed (conversion or synthesis error).
     pub errors: usize,
     /// Targets keyed over the *full* permutation × flip space (a single
-    /// color orbit spanning the register, within budget) — plus every
-    /// target keyed under [`DedupPolicy::Exact`]/[`DedupPolicy::Off`],
-    /// whose identity keys are trivially exhaustive.
+    /// color orbit spanning the register, within budget).
     pub keys_exhaustive: usize,
     /// Targets keyed by the orbit-restricted enumeration (same class
     /// partition as exhaustive, exponentially less work).
@@ -287,18 +250,6 @@ pub struct BatchStats {
     pub assembly: Duration,
 }
 
-/// The result of one batch run over plain targets: per-target circuits in
-/// submission order plus aggregate statistics. Produced by the deprecated
-/// [`BatchSynthesizer::synthesize_batch`]; the request path returns the
-/// report-carrying [`RequestBatchOutcome`] instead.
-#[derive(Debug, Clone)]
-pub struct BatchOutcome {
-    /// One entry per submitted target, in order.
-    pub results: Vec<Result<Circuit, SynthesisError>>,
-    /// Aggregate statistics.
-    pub stats: BatchStats,
-}
-
 /// The result of one batch run over typed requests: one provenance-rich
 /// [`SynthesisReport`] per request, in submission order, plus aggregate
 /// statistics.
@@ -323,8 +274,8 @@ struct Keyed<'a> {
 
 /// How one request's circuit will be produced.
 enum Plan {
-    /// Solve it fresh (it is its class's representative, dedup is off, or
-    /// the request bypasses the cache).
+    /// Solve it fresh (it is its class's representative, or the request
+    /// bypasses the cache).
     Fresh,
     /// Reuse the in-batch representative at this index.
     Follow(usize),
@@ -364,29 +315,15 @@ fn raw_entries(state: &SparseState) -> Vec<(u64, u64)> {
 /// permutations, and only signature collisions run full canonicalization
 /// (the class partition is identical either way). `options_fp` is the
 /// cost-relevant options fingerprint folded into the key (see
-/// [`crate::api::cost_fingerprint`]). Under [`DedupPolicy::Off`] /
-/// [`DedupPolicy::Exact`] the key is the identity-sorted entry vector
-/// (signature zero), which is trivially exhaustive and never touches the
-/// interner.
+/// [`crate::api::cost_fingerprint`]).
 fn canonicalize(
     state: &SparseState,
-    policy: DedupPolicy,
     options_fp: u64,
     orbit_node_budget: usize,
     keyer: &pipeline::SignatureInterner,
 ) -> KeyedClass {
     let n = state.num_qubits();
     let base = raw_entries(state);
-    if matches!(policy, DedupPolicy::Off | DedupPolicy::Exact) {
-        let mut entries = base;
-        entries.sort_unstable();
-        return KeyedClass {
-            key: ClassKey::new(0, n, entries, options_fp),
-            transform: StateTransform::identity(n),
-            coverage: KeyCoverage::Exhaustive,
-        };
-    }
-
     let options = PipelineOptions::layout_invariant().with_orbit_node_budget(orbit_node_budget);
     let pipeline_key = pipeline::key_tiered(n, &base, &options, keyer);
     KeyedClass {
@@ -581,24 +518,28 @@ impl BatchSynthesizer {
     }
 
     /// Warm-starts the cache from a snapshot produced by
-    /// [`BatchSynthesizer::save_cache_snapshot`] (entries flow through the
-    /// normal eviction-aware insert path). Returns the number of classes
-    /// loaded.
+    /// [`BatchSynthesizer::save_cache_snapshot`]. The snapshot is merged
+    /// into the (possibly non-empty) cache through the eviction-aware path,
+    /// keeping the cheaper circuit when a class is present on both sides,
+    /// and every cached key then becomes a keying anchor, so permuted or
+    /// flipped variants of a loaded class hit it. Returns the number of
+    /// classes adopted.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors and rejects malformed snapshots.
     pub fn load_cache_snapshot(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<usize> {
-        let loaded = self.cache.load_snapshot(path.as_ref())?;
+        let adopted = self.cache.merge_snapshot(path.as_ref())?;
         self.seed_keyer_from_cache();
-        Ok(loaded)
+        Ok(adopted)
     }
 
     /// Adopts every canonical cache key as a signature-interner anchor, so
     /// traffic equivalent to snapshot-loaded classes keys on the tiered
     /// fast path (and still lands on the loaded entries: the fast-path key
-    /// reproduces the anchor's exact entry vector). Exact (signature-zero)
-    /// keys never go through the interner and are skipped.
+    /// reproduces the anchor's exact entry vector). Signature-zero keys are
+    /// identity keys from snapshots of engines that merged exact duplicates
+    /// only; they are not pipeline keys and are skipped.
     fn seed_keyer_from_cache(&self) {
         self.cache.for_each_key(|key| {
             if key.signature != 0 {
@@ -629,10 +570,9 @@ impl BatchSynthesizer {
         self.resolve_options(&RequestOptions::default())
     }
 
-    /// Computes the canonical class of a target under this engine's dedup
-    /// policy and *default* options: the class key, the witness transform
-    /// mapping the target onto the class fingerprint, and the keying
-    /// coverage.
+    /// Computes the canonical class of a target under this engine's
+    /// *default* options: the class key, the witness transform mapping the
+    /// target onto the class fingerprint, and the keying coverage.
     ///
     /// This is the seam the serving layer's in-flight dedup is built on: two
     /// concurrent requests with equal keys can share one solve, and either
@@ -667,26 +607,22 @@ impl BatchSynthesizer {
         let sparse = target.as_sparse()?;
         Ok(canonicalize(
             sparse.as_ref(),
-            self.options.dedup,
             resolved.fingerprint,
             self.options.orbit_node_budget,
             &self.keyer,
         ))
     }
 
-    /// Looks up a solved class in the cross-batch cache (always `None` when
-    /// deduplication is off). Counts a cache hit or miss. The key carries
-    /// its options fingerprint, so a hit is always configuration-correct.
+    /// Looks up a solved class in the cross-batch cache. Counts a cache hit
+    /// or miss. The key carries its options fingerprint, so a hit is always
+    /// configuration-correct.
     pub fn lookup_class(&self, key: &ClassKey) -> Option<Arc<CacheEntry>> {
-        if self.options.dedup == DedupPolicy::Off {
-            return None;
-        }
         self.cache.lookup(key)
     }
 
     /// Solves one class representative through the workflow under the
-    /// engine's default configuration and publishes it to the cache (unless
-    /// deduplication is off). See [`BatchSynthesizer::solve_class_with`].
+    /// engine's default configuration and publishes it to the cache. See
+    /// [`BatchSynthesizer::solve_class_with`].
     pub fn solve_class(
         &self,
         key: &ClassKey,
@@ -701,10 +637,10 @@ impl BatchSynthesizer {
     /// returned by [`BatchSynthesizer::canonical_class_with`] for `target`
     /// under the same resolved config (the key's fingerprint and the solve's
     /// configuration must agree — that pairing is the dedup-soundness
-    /// invariant). The entry is published to the cache only when
-    /// deduplication is on *and* the request's [`CachePolicy`] is
-    /// [`CachePolicy::Use`]. A synthesis failure is cached too (so repeated
-    /// bad requests fail fast) but is never persisted to snapshots.
+    /// invariant). The entry is published to the cache only when the
+    /// request's [`CachePolicy`] is [`CachePolicy::Use`]. A synthesis
+    /// failure is cached too (so repeated bad requests fail fast) but is
+    /// never persisted to snapshots.
     pub fn solve_class_with(
         &self,
         key: &ClassKey,
@@ -720,7 +656,7 @@ impl BatchSynthesizer {
                 transform: transform.clone(),
                 origin: EntryOrigin::Template,
             });
-            if self.options.dedup != DedupPolicy::Off && resolved.cache == CachePolicy::Use {
+            if resolved.cache == CachePolicy::Use {
                 self.cache.insert(key.clone(), Arc::clone(&entry));
             }
             return entry;
@@ -758,23 +694,22 @@ impl BatchSynthesizer {
             transform: transform.clone(),
             origin: EntryOrigin::Fresh,
         });
-        if self.options.dedup != DedupPolicy::Off && resolved.cache == CachePolicy::Use {
+        if resolved.cache == CachePolicy::Use {
             self.cache.insert(key.clone(), Arc::clone(&entry));
         }
         entry
     }
 
-    /// Whether a target may interact with the template layer at all:
-    /// canonical dedup with a cache-visible policy, an exact-synthesis-shaped
-    /// problem (that is what the captured reduction plans cover), and no
-    /// negative amplitudes (the workflow rejects those before the solver, so
-    /// a replay must never serve them).
+    /// Whether a target may interact with the template layer at all: a
+    /// cache-visible policy, an exact-synthesis-shaped problem (that is what
+    /// the captured reduction plans cover), and no negative amplitudes (the
+    /// workflow rejects those before the solver, so a replay must never
+    /// serve them).
     fn template_eligible(&self, target: &SparseState, resolved: &ResolvedConfig) -> bool {
         let active = (0..target.num_qubits())
             .filter(|&q| target.iter().any(|(index, _)| index.bit(q)))
             .count();
-        self.options.dedup == DedupPolicy::Canonical
-            && resolved.cache != CachePolicy::Bypass
+        resolved.cache != CachePolicy::Bypass
             && target.cardinality() <= resolved.workflow.search.max_cardinality
             && active <= resolved.workflow.search.max_qubits
             && target.iter().all(|(_, amplitude)| amplitude >= 0.0)
@@ -942,120 +877,31 @@ impl BatchSynthesizer {
         }
     }
 
-    /// Synthesizes one typed request through the canonical-class seam:
-    /// cache probe (per its [`CachePolicy`]), fresh solve, witness
-    /// reconstruction, provenance-rich report.
+    /// Synthesizes one typed request: a batch of one through the same
+    /// key → plan → solve → reconstruct pipeline as
+    /// [`BatchSynthesizer::synthesize_requests`], so the cache probe (per
+    /// the request's [`CachePolicy`]), the witness reconstruction and the
+    /// report's provenance, timings and trace are the batch path's.
     ///
     /// # Errors
     ///
     /// Propagates conversion and synthesis errors.
-    pub fn synthesize_request<S: QuantumState>(
+    pub fn synthesize_request<S: QuantumState + Sync>(
         &self,
         request: &SynthesisRequest<S>,
     ) -> Result<SynthesisReport, SynthesisError> {
-        let result = self.synthesize_request_traced(request);
-        self.record_request_outcome(result.is_err());
-        result
+        self.run_requests(1, |_| (&request.target, &request.options))
+            .reports
+            .pop()
+            .expect("a batch of one yields one report")
     }
 
-    /// The body of [`BatchSynthesizer::synthesize_request`]: produces the
-    /// report with its [`RequestTrace`] attached and the trace ring fed.
-    fn synthesize_request_traced<S: QuantumState>(
-        &self,
-        request: &SynthesisRequest<S>,
-    ) -> Result<SynthesisReport, SynthesisError> {
-        let start = Instant::now();
-        let trace_id = TraceId::next();
-        let resolved = self.resolve_options(&request.options);
-        let sparse = request.target.as_sparse()?;
-        let class = canonicalize(
-            sparse.as_ref(),
-            self.options.dedup,
-            resolved.fingerprint,
-            self.options.orbit_node_budget,
-            &self.keyer,
-        );
-        let keying = start.elapsed();
-        self.record_keying(sparse.as_ref().num_qubits(), class.coverage, keying);
-        let KeyedClass { key, transform, .. } = class;
-
-        let mut trace = RequestTrace::new(trace_id);
-        trace.push(SpanKind::Key, Duration::ZERO, keying);
-
-        if self.options.dedup != DedupPolicy::Off && resolved.cache != CachePolicy::Bypass {
-            let probe_start = Instant::now();
-            let hit = self.cache.lookup(&key);
-            let probing = probe_start.elapsed();
-            trace.push(SpanKind::CacheProbe, keying, probing);
-            if let Some(entry) = hit {
-                self.hot.cache_hits.inc();
-                let reconstruct_start = Instant::now();
-                let circuit = Self::reconstruct_for(&entry, &transform)?;
-                let reconstruction = reconstruct_start.elapsed();
-                trace.push(SpanKind::Reconstruct, keying + probing, reconstruction);
-                self.obs.tracer().record_trace(&trace);
-                return Ok(SynthesisReport::new(
-                    circuit,
-                    Provenance::CacheHit { witness: transform },
-                    StageTimings::new(
-                        keying,
-                        Duration::ZERO,
-                        reconstruction,
-                        keying + reconstruction,
-                    ),
-                    resolved,
-                )
-                .with_trace(trace));
-            }
-        }
-
-        let solve_start = Instant::now();
-        let entry = self.solve_class_with(&key, &transform, sparse.as_ref(), &resolved);
-        let solving = solve_start.elapsed();
-        trace.push(SpanKind::Solve, solve_start - start, solving);
-        let reconstruct_start = Instant::now();
-        let circuit = Self::reconstruct_for(&entry, &transform)?;
-        trace.push(
-            SpanKind::Reconstruct,
-            reconstruct_start - start,
-            reconstruct_start.elapsed(),
-        );
-        self.obs.tracer().record_trace(&trace);
-        let provenance = match entry.origin() {
-            EntryOrigin::Fresh => Provenance::Solved,
-            EntryOrigin::Template => Provenance::TemplateInstantiated {
-                witness: transform.clone(),
-            },
-        };
-        Ok(SynthesisReport::new(
-            circuit,
-            provenance,
-            StageTimings::new(keying, solving, Duration::ZERO, keying + solving),
-            resolved,
-        )
-        .with_trace(trace))
-    }
-
-    /// Registry bookkeeping shared by every request-shaped entry point: one
-    /// target submitted, optionally one error.
-    fn record_request_outcome(&self, failed: bool) {
-        self.hot.targets.inc();
-        if failed {
-            self.hot.errors.inc();
-        }
-    }
-
-    /// Records one keying outcome into the registry: the per-width keying
-    /// latency histogram and the coverage counters (greedy fallbacks double
-    /// as the orbit-budget exhaustion signal).
-    fn record_keying(&self, width: usize, coverage: KeyCoverage, keying: Duration) {
-        self.record_keying_group(width, coverage, &[keying]);
-    }
-
-    /// [`BatchSynthesizer::record_keying`] for a whole group of same-width,
-    /// same-coverage outcomes: one registry resolution per handle (each a
-    /// label-keyed hash plus a shard lock) amortized over every sample in
-    /// the group, instead of three resolutions per request.
+    /// Records a group of same-width, same-coverage keying outcomes into the
+    /// registry: the per-width keying latency histogram and the coverage
+    /// counters (greedy fallbacks double as the orbit-budget exhaustion
+    /// signal). One registry resolution per handle (each a label-keyed hash
+    /// plus a shard lock) is amortized over every sample in the group,
+    /// instead of three resolutions per request.
     fn record_keying_group(&self, width: usize, coverage: KeyCoverage, samples: &[Duration]) {
         let metrics = self.obs.metrics();
         let width = width.to_string();
@@ -1096,30 +942,7 @@ impl BatchSynthesizer {
         })
     }
 
-    /// Synthesizes preparation circuits for every target, in parallel,
-    /// solving each canonical equivalence class once.
-    ///
-    /// Results are returned in submission order; a failing target yields an
-    /// `Err` entry without affecting the others.
-    #[deprecated(
-        since = "0.3.0",
-        note = "build `SynthesisRequest`s and use `synthesize_requests`; each \
-                report carries the circuit plus provenance and timings"
-    )]
-    pub fn synthesize_batch<S: QuantumState + Sync>(&self, targets: &[S]) -> BatchOutcome {
-        let default_options = RequestOptions::default();
-        let outcome = self.run_requests(targets.len(), |i| (&targets[i], &default_options));
-        BatchOutcome {
-            results: outcome
-                .reports
-                .into_iter()
-                .map(|r| r.map(|report| report.circuit))
-                .collect(),
-            stats: outcome.stats,
-        }
-    }
-
-    /// The four-phase batch pipeline both public batch entry points share.
+    /// The four-phase batch pipeline every request entry point shares.
     /// `get(i)` hands back the `i`-th target and its per-request options
     /// without forcing callers to materialize owned requests.
     fn run_requests<'a, S, F>(&self, count: usize, get: F) -> RequestBatchOutcome
@@ -1141,7 +964,6 @@ impl BatchSynthesizer {
             let sparse = target.as_sparse()?;
             let class = canonicalize(
                 sparse.as_ref(),
-                self.options.dedup,
                 resolved.fingerprint,
                 self.options.orbit_node_budget,
                 &self.keyer,
@@ -1185,13 +1007,12 @@ impl BatchSynthesizer {
             self.record_keying_group(width, coverage, &samples);
         }
 
-        // Phase 2 (sequential): plan which requests need a fresh solve. With
-        // dedup off — or a per-request cache bypass — a request is solved
-        // independently and never joins a class. Cross-batch hits pin their
-        // entry here, so a bounded cache can evict freely afterwards without
-        // losing them. Keys carry the options fingerprint, so two requests
-        // only ever share a class when their effective cost-relevant
-        // configurations are identical.
+        // Phase 2 (sequential): plan which requests need a fresh solve. A
+        // request that bypasses the cache is solved independently and never
+        // joins a class. Cross-batch hits pin their entry here, so a bounded
+        // cache can evict freely afterwards without losing them. Keys carry
+        // the options fingerprint, so two requests only ever share a class
+        // when their effective cost-relevant configurations are identical.
         let planning_start = Instant::now();
         let mut to_solve: Vec<usize> = Vec::new();
         let mut cache_hits = 0usize;
@@ -1208,9 +1029,7 @@ impl BatchSynthesizer {
                     continue;
                 };
                 let wants_publish = keyed_request.resolved.cache == CachePolicy::Use;
-                let bypass = self.options.dedup == DedupPolicy::Off
-                    || keyed_request.resolved.cache == CachePolicy::Bypass;
-                if bypass {
+                if keyed_request.resolved.cache == CachePolicy::Bypass {
                     to_solve.push(i);
                     plans.push(Plan::Fresh);
                 } else if let Some(&representative) = planned.get(&keyed_request.class.key) {
@@ -1382,16 +1201,19 @@ impl<S: QuantumState + Sync> Synthesizer<S> for BatchSynthesizer {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated `synthesize_batch` wrapper stays covered until it is
-    // removed; new call sites use `synthesize_requests`.
-    #![allow(deprecated)]
-
     use super::*;
     use qsp_state::{generators, BasisIndex};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     const FP: u64 = 0xABCD;
+
+    fn requests(targets: &[SparseState]) -> Vec<SynthesisRequest<SparseState>> {
+        targets
+            .iter()
+            .map(|t| SynthesisRequest::new(t.clone()))
+            .collect()
+    }
 
     fn verify(circuit: &Circuit, target: &SparseState) {
         let report = qsp_sim::verify_preparation(circuit, target).expect("simulates");
@@ -1429,34 +1251,23 @@ mod tests {
             .unwrap();
         let budget = pipeline::DEFAULT_ORBIT_NODE_BUDGET;
         let keyer = pipeline::SignatureInterner::new();
-        let key_a = canonicalize(&ghz, DedupPolicy::Canonical, FP, budget, &keyer);
-        let key_b = canonicalize(&variant, DedupPolicy::Canonical, FP, budget, &keyer);
+        let key_a = canonicalize(&ghz, FP, budget, &keyer);
+        let key_b = canonicalize(&variant, FP, budget, &keyer);
         assert_eq!(key_a.key, key_b.key);
         assert_ne!(key_a.coverage, KeyCoverage::Greedy);
         // The first member of a class anchors its fresh signature; the
         // equivalent variant is a genuine collision and takes the full tier.
         assert_eq!(key_a.coverage, KeyCoverage::SignatureOnly);
         assert_ne!(key_b.coverage, KeyCoverage::SignatureOnly);
-        // Exact policy distinguishes them.
-        let exact_a = canonicalize(&ghz, DedupPolicy::Exact, FP, budget, &keyer);
-        let exact_b = canonicalize(&variant, DedupPolicy::Exact, FP, budget, &keyer);
-        assert_ne!(exact_a.key, exact_b.key);
-        assert_eq!(exact_a.coverage, KeyCoverage::Exhaustive);
         // A genuinely different state gets a different canonical key — and
         // already a different Stage 0 signature, so the keys short-circuit
         // before the entry vectors are compared.
-        let key_w = canonicalize(
-            &generators::w_state(4).unwrap(),
-            DedupPolicy::Canonical,
-            FP,
-            budget,
-            &keyer,
-        );
+        let key_w = canonicalize(&generators::w_state(4).unwrap(), FP, budget, &keyer);
         assert_ne!(key_a.key, key_w.key);
         assert_ne!(key_a.key.signature(), key_w.key.signature());
         // The same state under a different options fingerprint is a
         // different class — the dedup-soundness invariant.
-        let key_fp = canonicalize(&ghz, DedupPolicy::Canonical, FP ^ 1, budget, &keyer);
+        let key_fp = canonicalize(&ghz, FP ^ 1, budget, &keyer);
         assert_ne!(key_a.key, key_fp.key);
     }
 
@@ -1472,8 +1283,8 @@ mod tests {
                 .unwrap();
             let budget = pipeline::DEFAULT_ORBIT_NODE_BUDGET;
             let keyer = pipeline::SignatureInterner::new();
-            let class_a = canonicalize(&base, DedupPolicy::Canonical, FP, budget, &keyer);
-            let class_b = canonicalize(&variant, DedupPolicy::Canonical, FP, budget, &keyer);
+            let class_a = canonicalize(&base, FP, budget, &keyer);
+            let class_b = canonicalize(&variant, FP, budget, &keyer);
             assert_eq!(class_a.key, class_b.key);
             let solved = QspWorkflow::new().run(&base).unwrap();
             verify(&solved, &base);
@@ -1492,13 +1303,13 @@ mod tests {
             generators::dicke(4, 2).unwrap(),
         ];
         let engine = BatchSynthesizer::new();
-        let outcome = engine.synthesize_batch(&targets);
+        let outcome = engine.synthesize_requests(&requests(&targets));
         assert_eq!(outcome.stats.solver_runs, 2);
         assert_eq!(outcome.stats.cache_hits, 1);
         assert_eq!(outcome.stats.errors, 0);
         assert!(outcome.stats.threads >= 1);
-        let first = outcome.results[0].as_ref().unwrap();
-        let third = outcome.results[2].as_ref().unwrap();
+        let first = &outcome.reports[0].as_ref().unwrap().circuit;
+        let third = &outcome.reports[2].as_ref().unwrap().circuit;
         assert_eq!(
             first, third,
             "duplicate targets must get identical circuits"
@@ -1531,10 +1342,14 @@ mod tests {
         let hit = again.reports[0].as_ref().unwrap();
         assert!(matches!(hit.provenance, Provenance::CacheHit { .. }));
         assert_eq!(hit.cnot_cost, first.cnot_cost);
-        // The single-request seam agrees.
+        // The single-request seam agrees, with the batch trace layout.
         let single = engine.synthesize_request(&requests[1]).unwrap();
         assert!(matches!(single.provenance, Provenance::CacheHit { .. }));
         assert_eq!(single.cnot_cost, 3);
+        let trace = single.trace.as_ref().expect("reports carry their trace");
+        assert!(trace.duration_of(SpanKind::Key).is_some());
+        assert!(trace.duration_of(SpanKind::Reconstruct).is_some());
+        assert_eq!(trace.duration_of(SpanKind::CacheProbe), None);
     }
 
     #[test]
@@ -1595,36 +1410,22 @@ mod tests {
     #[test]
     fn cache_persists_across_batches() {
         let engine = BatchSynthesizer::new();
-        let first = engine.synthesize_batch(&[generators::ghz(3).unwrap()]);
+        let targets = [generators::ghz(3).unwrap()];
+        let first = engine.synthesize_requests(&requests(&targets));
         assert_eq!(first.stats.solver_runs, 1);
         assert_eq!(engine.cache_len(), 1);
-        let second = engine.synthesize_batch(&[generators::ghz(3).unwrap()]);
+        let second = engine.synthesize_requests(&requests(&targets));
         assert_eq!(second.stats.solver_runs, 0);
         assert_eq!(second.stats.cache_hits, 1);
         assert_eq!(
-            first.results[0].as_ref().unwrap(),
-            second.results[0].as_ref().unwrap()
+            first.reports[0].as_ref().unwrap().circuit,
+            second.reports[0].as_ref().unwrap().circuit
         );
         // Store-level counters: one planning miss, one planning hit.
         let stats = engine.cache_stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
         engine.clear_cache();
-        assert_eq!(engine.cache_len(), 0);
-    }
-
-    #[test]
-    fn dedup_off_solves_every_target() {
-        let targets = vec![generators::ghz(3).unwrap(), generators::ghz(3).unwrap()];
-        let engine = BatchSynthesizer::with_options(
-            WorkflowConfig::default(),
-            BatchOptions::default()
-                .with_threads(2)
-                .with_dedup(DedupPolicy::Off),
-        );
-        let outcome = engine.synthesize_batch(&targets);
-        assert_eq!(outcome.stats.solver_runs, 2);
-        assert_eq!(outcome.stats.cache_hits, 0);
         assert_eq!(engine.cache_len(), 0);
     }
 
@@ -1636,9 +1437,9 @@ mod tests {
         )
         .unwrap();
         let targets = vec![generators::ghz(2).unwrap(), negative];
-        let outcome = BatchSynthesizer::new().synthesize_batch(&targets);
-        assert!(outcome.results[0].is_ok());
-        assert!(outcome.results[1].is_err());
+        let outcome = BatchSynthesizer::new().synthesize_requests(&requests(&targets));
+        assert!(outcome.reports[0].is_ok());
+        assert!(outcome.reports[1].is_err());
         assert_eq!(outcome.stats.errors, 1);
     }
 
@@ -1737,7 +1538,7 @@ mod tests {
     #[test]
     fn stage_timings_sum_to_less_than_elapsed() {
         let targets = vec![generators::ghz(3).unwrap(), generators::w_state(4).unwrap()];
-        let outcome = BatchSynthesizer::new().synthesize_batch(&targets);
+        let outcome = BatchSynthesizer::new().synthesize_requests(&requests(&targets));
         let staged = outcome.stats.keying
             + outcome.stats.planning
             + outcome.stats.solving
@@ -1763,12 +1564,12 @@ mod tests {
         }
         targets.push(targets[0].clone());
         targets.push(targets[3].clone());
-        let outcome = engine.synthesize_batch(&targets);
+        let outcome = engine.synthesize_requests(&requests(&targets));
         assert_eq!(outcome.stats.errors, 0);
         assert!(engine.cache_len() <= engine.cache().capacity());
         assert!(engine.cache_stats().evictions > 0);
-        for (target, result) in targets.iter().zip(&outcome.results) {
-            verify(result.as_ref().unwrap(), target);
+        for (target, report) in targets.iter().zip(&outcome.reports) {
+            verify(&report.as_ref().unwrap().circuit, target);
         }
     }
 }

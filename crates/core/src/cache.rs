@@ -16,12 +16,13 @@
 //!   `hits + misses == lookups`, and `entries ≤ insertions − evictions`
 //!   (strictly below when racing writers re-insert an existing class, which
 //!   replaces the slot but still counts as an insertion).
-//! * **JSON warm-start snapshots** — [`ShardedCache::save_snapshot`] /
-//!   [`ShardedCache::load_snapshot`] persist solved classes (rotation angles
-//!   as exact `f64` bit patterns) so a fresh process can start warm, and
-//!   [`ShardedCache::merge_snapshot`] folds a snapshot into a *non-empty*
-//!   cache, keeping the cheaper circuit when a class is present on both
-//!   sides — the building block for fleet-wide cache exchange. The format
+//! * **JSON warm-start snapshots** — [`ShardedCache::save_snapshot`]
+//!   persists solved classes (rotation angles as exact `f64` bit patterns)
+//!   so a fresh process can start warm. The one way back in is
+//!   [`crate::BatchSynthesizer::load_cache_snapshot`]: it folds a snapshot
+//!   into a possibly *non-empty* cache, keeping the cheaper circuit when a
+//!   class is present on both sides (the building block for fleet-wide
+//!   cache exchange), and seeds the engine's keying anchors. The format
 //!   rides on the workspace-shared [`crate::json`] reader/writer (the
 //!   offline build has no serde).
 
@@ -481,31 +482,11 @@ impl ShardedCache {
         self.write_snapshot(io::BufWriter::new(file))
     }
 
-    /// Loads classes from a snapshot produced by
-    /// [`ShardedCache::write_snapshot`], inserting them through the normal
-    /// eviction-aware path (resident entries with the same key are
-    /// replaced). Returns the number of classes loaded.
-    pub fn read_snapshot<R: Read>(&self, reader: R) -> io::Result<usize> {
-        let entries = parse_snapshot(reader)?;
-        let loaded = entries.len();
-        for (key, cache_entry) in entries {
-            self.insert(key, Arc::new(cache_entry));
-        }
-        Ok(loaded)
-    }
-
-    /// Loads a warm-start snapshot from `path`. Returns the number of
-    /// classes loaded.
-    pub fn load_snapshot(&self, path: &std::path::Path) -> io::Result<usize> {
-        let file = std::fs::File::open(path)?;
-        self.read_snapshot(io::BufReader::new(file))
-    }
-
-    /// Merges a snapshot into this (possibly non-empty) cache: every
-    /// snapshot class flows through [`ShardedCache::merge_entry`], so a key
-    /// collision keeps whichever circuit is cheaper. Returns the number of
-    /// classes actually adopted.
-    pub fn merge_from_reader<R: Read>(&self, reader: R) -> io::Result<usize> {
+    /// Merges a snapshot produced by [`ShardedCache::write_snapshot`] into
+    /// this (possibly non-empty) cache: every snapshot class flows through
+    /// [`ShardedCache::merge_entry`], so a key collision keeps whichever
+    /// circuit is cheaper. Returns the number of classes actually adopted.
+    pub(crate) fn merge_from_reader<R: Read>(&self, reader: R) -> io::Result<usize> {
         let mut adopted = 0usize;
         for (key, cache_entry) in parse_snapshot(reader)? {
             if self.merge_entry(key, Arc::new(cache_entry)) {
@@ -518,15 +499,15 @@ impl ShardedCache {
     /// Merges a snapshot file into this cache (see
     /// [`ShardedCache::merge_from_reader`]). Returns the number of classes
     /// adopted.
-    pub fn merge_snapshot(&self, path: &std::path::Path) -> io::Result<usize> {
+    pub(crate) fn merge_snapshot(&self, path: &std::path::Path) -> io::Result<usize> {
         let file = std::fs::File::open(path)?;
         self.merge_from_reader(io::BufReader::new(file))
     }
 
-    /// Merges another in-process cache into this one (cheaper circuit wins,
-    /// like [`ShardedCache::merge_from_reader`], but sharing the entries by
-    /// `Arc` instead of round-tripping through JSON). Returns the number of
-    /// classes adopted.
+    /// Merges another in-process cache into this one through
+    /// [`ShardedCache::merge_entry`] (cheaper circuit wins), sharing the
+    /// entries by `Arc` instead of round-tripping through JSON. Returns the
+    /// number of classes adopted.
     pub fn merge_from(&self, other: &ShardedCache) -> usize {
         let mut adopted = 0usize;
         for shard in other.shards.iter() {
@@ -957,7 +938,7 @@ mod tests {
             shards: 8,
             capacity: 0,
         });
-        let loaded = restored.read_snapshot(buffer.as_slice()).unwrap();
+        let loaded = restored.merge_from_reader(buffer.as_slice()).unwrap();
         assert_eq!(loaded, 1);
         let entry = restored.lookup(&key(3, 5)).expect("loaded class present");
         assert_eq!(entry.circuit.as_ref().unwrap(), &circuit);
@@ -1084,15 +1065,15 @@ mod tests {
     #[test]
     fn snapshot_rejects_garbage() {
         let cache = ShardedCache::new(CacheConfig::default());
-        assert!(cache.read_snapshot("not json".as_bytes()).is_err());
+        assert!(cache.merge_from_reader("not json".as_bytes()).is_err());
         // A v3 entry without the signature or fingerprint is rejected.
         let no_sig = "{\"version\":3,\"entries\":[{\"n\":2,\"fp\":0,\"key\":[[0,1]],\"perm\":[0,1],\"mask\":0,\"gates\":[]}]}";
-        assert!(cache.read_snapshot(no_sig.as_bytes()).is_err());
+        assert!(cache.merge_from_reader(no_sig.as_bytes()).is_err());
         let no_fp = "{\"version\":3,\"entries\":[{\"n\":2,\"sig\":0,\"key\":[[0,1]],\"perm\":[0,1],\"mask\":0,\"gates\":[]}]}";
-        assert!(cache.read_snapshot(no_fp.as_bytes()).is_err());
+        assert!(cache.merge_from_reader(no_fp.as_bytes()).is_err());
         // A perm that is not a bijection is rejected.
         let bad = "{\"version\":3,\"entries\":[{\"n\":2,\"sig\":0,\"fp\":0,\"key\":[[0,1]],\"perm\":[0,0],\"mask\":0,\"gates\":[]}]}";
-        assert!(cache.read_snapshot(bad.as_bytes()).is_err());
+        assert!(cache.merge_from_reader(bad.as_bytes()).is_err());
         assert_eq!(cache.len(), 0);
     }
 
@@ -1104,7 +1085,7 @@ mod tests {
         // io::Error, with the found/supported pair intact.
         for version in [1u64, 2, 4] {
             let doc = format!("{{\"version\":{version},\"entries\":[]}}");
-            let error = cache.read_snapshot(doc.as_bytes()).unwrap_err();
+            let error = cache.merge_from_reader(doc.as_bytes()).unwrap_err();
             assert_eq!(error.kind(), io::ErrorKind::InvalidData);
             let inner = error
                 .get_ref()
@@ -1140,7 +1121,7 @@ mod tests {
         let mut snapshot = Vec::new();
         cache.write_snapshot(&mut snapshot).unwrap();
         let restored = ShardedCache::new(CacheConfig::unbounded());
-        assert_eq!(restored.read_snapshot(snapshot.as_slice()).unwrap(), 2);
+        assert_eq!(restored.merge_from_reader(snapshot.as_slice()).unwrap(), 2);
         assert_eq!(restored.lookup(&a).unwrap().cnot_cost(), Some(1));
         assert_eq!(restored.lookup(&b).unwrap().cnot_cost(), Some(4));
     }

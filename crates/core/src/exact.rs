@@ -110,36 +110,14 @@ impl ExactSynthesizer {
         &self.engine
     }
 
-    /// Synthesizes the CNOT-optimal preparation circuit for `target` (any
-    /// [`QuantumState`] backend).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the target has negative amplitudes, exceeds the
-    /// configured limits on active qubits / cardinality, or the search budget
-    /// is exhausted.
-    #[deprecated(
-        since = "0.3.0",
-        note = "build a `SynthesisRequest` and use `synthesize_request` (or the \
-                `Synthesizer` trait); search statistics remain available on \
-                `engine().synthesize(..)`"
-    )]
-    pub fn synthesize<S: QuantumState>(
-        &self,
-        state: &S,
-    ) -> Result<ExactSynthesisOutcome, SynthesisError> {
-        self.engine.synthesize(state)
-    }
-
     /// Synthesizes one typed [`SynthesisRequest`], honouring its per-request
     /// search overrides (strategy, node budget, ablations). The exact
     /// synthesizer always emits raw circuits, so an `optimize` override is
     /// pinned back to `false` *before* resolution — the report's resolved
     /// config and fingerprint describe what actually ran, and the same
     /// fingerprint can never stand for two different costs across layers.
-    /// This is the [`Synthesizer`] trait entry point under an inherent name
-    /// (the deprecated state-based `synthesize` still shadows the trait
-    /// method).
+    /// This is the [`Synthesizer`] trait entry point under an inherent name;
+    /// search statistics stay available on `engine().synthesize(..)`.
     ///
     /// # Errors
     ///
@@ -274,16 +252,12 @@ fn merge_angle(
 
 #[cfg(test)]
 mod tests {
-    // The deprecated state-based entry point stays covered until it is
-    // removed; new call sites use `synthesize_request`.
-    #![allow(deprecated)]
-
     use super::*;
     use qsp_sim::verify_preparation;
     use qsp_state::{generators, BasisIndex};
 
     fn synthesize_and_verify(target: &SparseState) -> ExactSynthesisOutcome {
-        let outcome = ExactSynthesizer::new().synthesize(target).unwrap();
+        let outcome = ExactSynthesizer::new().engine().synthesize(target).unwrap();
         let report = verify_preparation(&outcome.circuit, target).unwrap();
         assert!(
             report.is_correct(),
@@ -356,7 +330,7 @@ mod tests {
     fn limits_are_enforced() {
         let too_wide = generators::ghz(6).unwrap();
         assert!(matches!(
-            ExactSynthesizer::new().synthesize(&too_wide),
+            ExactSynthesizer::new().engine().synthesize(&too_wide),
             Err(SynthesisError::ProblemTooLarge { .. })
         ));
         let negative = SparseState::from_amplitudes(
@@ -365,11 +339,14 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            ExactSynthesizer::new().synthesize(&negative),
+            ExactSynthesizer::new().engine().synthesize(&negative),
             Err(SynthesisError::UnsupportedState { .. })
         ));
         let wide_config = ExactSynthesizer::with_config(SearchConfig::extended());
-        assert!(wide_config.synthesize(&generators::ghz(5).unwrap()).is_ok());
+        assert!(wide_config
+            .engine()
+            .synthesize(&generators::ghz(5).unwrap())
+            .is_ok());
         assert_eq!(wide_config.config().max_qubits, 5);
         assert_eq!(wide_config.engine().config().max_qubits, 5);
     }

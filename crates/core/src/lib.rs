@@ -87,10 +87,7 @@ pub use api::{
     CachePolicy, Provenance, RequestOptions, ResolvedConfig, StageTimings, SynthesisReport,
     SynthesisRequest, Synthesizer, TenantId,
 };
-pub use batch::{
-    BatchOptions, BatchOutcome, BatchStats, BatchSynthesizer, DedupPolicy, KeyedClass,
-    RequestBatchOutcome,
-};
+pub use batch::{BatchOptions, BatchStats, BatchSynthesizer, KeyedClass, RequestBatchOutcome};
 pub use cache::{
     CacheEntry, CacheStats, ClassKey, EntryOrigin, ShardedCache, SNAPSHOT_FORMAT_VERSION,
 };

@@ -22,32 +22,29 @@
 //! concrete search state): sound, frame-independent — every X-flip /
 //! permutation variant of a target returns the bit-identical optimal cost,
 //! which is what the portfolio solver races on — and also cheaper: the
-//! compressed key tries up to `n! · 2^n` relabellings, once for every
-//! distinct state the search interns.
+//! compressed key runs the workspace's canonicalization pipeline
+//! ([`qsp_state::pipeline`]) once for every distinct state the search
+//! interns.
 
-use super::state::{clear_into, relabel_into, separation, Entry, SearchState};
+use qsp_state::pipeline::{self, PipelineOptions};
+use qsp_state::BasisIndex;
+
+use super::state::{clear_into, separation, Entry, SearchState};
 
 /// The canonical key of a search state under the configured equivalence.
 pub type CanonicalKey = SearchState;
-
-/// Exhaustive flip minimization is used up to this register width; beyond it
-/// a deterministic greedy pass keeps the key cheap at the price of weaker
-/// compression.
-const EXHAUSTIVE_FLIP_QUBITS: usize = 10;
-
-/// Permutation minimization enumerates all `n!` orders up to this width.
-const EXHAUSTIVE_PERMUTATION_QUBITS: usize = 6;
 
 /// Computes the distance-map key of `state`.
 ///
 /// With `permutations` unset (the default) the key is the state itself —
 /// exact, frame-independent search. With `permutations` set, the paper's
 /// aggressive layout-invariant compression is applied: separable qubits are
-/// cleared with (zero-cost) rotation merges, then the lexicographically
-/// minimal representative over X-flip masks and qubit permutations is
-/// selected. The compressed search expands fewer states but may return a
-/// slightly suboptimal cost (see the [module docs](self)); it is kept for
-/// the Sec. V-B ablations.
+/// cleared with (zero-cost) rotation merges, then the canonical
+/// representative over X-flip masks and qubit permutations is taken from
+/// the layout-invariant [`qsp_state::pipeline::canonicalize`]. The
+/// compressed search expands fewer states but may return a slightly
+/// suboptimal cost (see the [module docs](self)); it is kept for the
+/// Sec. V-B ablations.
 pub fn canonical_key(state: &SearchState, permutations: bool) -> CanonicalKey {
     if permutations {
         let key = compressed_key(state.entries(), state.num_qubits());
@@ -60,7 +57,15 @@ pub fn canonical_key(state: &SearchState, permutations: bool) -> CanonicalKey {
 /// The entries of the compressed key of the state with `entries` (see
 /// [`canonical_key`]). The A* arena computes it once per distinct state.
 pub(crate) fn compressed_key(entries: &[Entry], num_qubits: usize) -> Vec<Entry> {
-    minimal_relabelling(&clear_separable_qubits(entries, num_qubits), num_qubits)
+    let cleared: Vec<(u64, u64)> = clear_separable_qubits(entries, num_qubits)
+        .iter()
+        .map(|&(index, prob)| (index.value(), prob))
+        .collect();
+    pipeline::canonicalize(num_qubits, &cleared, &PipelineOptions::layout_invariant())
+        .entries
+        .into_iter()
+        .map(|(index, prob)| (BasisIndex::new(index), prob))
+        .collect()
 }
 
 /// Clears every separable qubit (they can be rotated to `|0⟩` for free),
@@ -83,56 +88,6 @@ fn clear_separable_qubits(entries: &[Entry], num_qubits: usize) -> Vec<Entry> {
         if !changed {
             return current;
         }
-    }
-}
-
-/// The lexicographically smallest relabelling of `entries` under X-flip
-/// masks (exhaustive up to [`EXHAUSTIVE_FLIP_QUBITS`], a greedy per-qubit
-/// pass beyond) and qubit permutations (up to
-/// [`EXHAUSTIVE_PERMUTATION_QUBITS`] only). Candidates are built in two
-/// reusable buffers.
-fn minimal_relabelling(entries: &[Entry], num_qubits: usize) -> Vec<Entry> {
-    let n = num_qubits;
-    let mut best = entries.to_vec();
-    let mut permuted = Vec::with_capacity(entries.len());
-    let mut candidate = Vec::with_capacity(entries.len());
-    let mut visit = |perm: Option<&[usize]>| {
-        if n <= EXHAUSTIVE_FLIP_QUBITS {
-            relabel_into(entries, perm, 0, &mut permuted);
-            for mask in 0u64..(1u64 << n) {
-                relabel_into(&permuted, None, mask, &mut candidate);
-                if candidate < best {
-                    best.clone_from(&candidate);
-                }
-            }
-        } else {
-            // Greedy: flip one qubit at a time, keeping each improvement.
-            for q in 0..n {
-                relabel_into(&best, None, 1u64 << q, &mut candidate);
-                if candidate < best {
-                    std::mem::swap(&mut best, &mut candidate);
-                }
-            }
-        }
-    };
-    if n <= EXHAUSTIVE_PERMUTATION_QUBITS {
-        let mut perm: Vec<usize> = (0..n).collect();
-        permute_recursive(&mut perm, 0, &mut |p| visit(Some(p)));
-    } else {
-        visit(None);
-    }
-    best
-}
-
-fn permute_recursive<F: FnMut(&[usize])>(perm: &mut Vec<usize>, start: usize, visit: &mut F) {
-    if start == perm.len() {
-        visit(perm);
-        return;
-    }
-    for i in start..perm.len() {
-        perm.swap(start, i);
-        permute_recursive(perm, start + 1, visit);
-        perm.swap(start, i);
     }
 }
 

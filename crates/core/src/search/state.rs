@@ -458,23 +458,6 @@ pub(crate) fn clear_into(
     sort_merge(out);
 }
 
-/// Writes `entries` relabelled by the zero-cost transform
-/// `index ↦ permute(index, perm) ^ mask` into `out`, sorted (`None` keeps
-/// the qubit order). The transform is a bijection, so nothing merges.
-pub(crate) fn relabel_into(
-    entries: &[Entry],
-    perm: Option<&[usize]>,
-    mask: u64,
-    out: &mut Vec<Entry>,
-) {
-    out.clear();
-    out.extend(entries.iter().map(|&(index, prob)| {
-        let index = perm.map_or(index, |perm| index.permute(perm));
-        (BasisIndex::new(index.value() ^ mask), prob)
-    }));
-    out.sort_unstable_by_key(|&(index, _)| index);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -628,19 +611,6 @@ mod tests {
             .unwrap();
         let total_after: u64 = after.entries().iter().map(|e| e.1).sum();
         assert_eq!(total, total_after);
-    }
-
-    #[test]
-    fn flips_and_permutations_for_canonicalization() {
-        let w = SearchState::from_state(&generators::w_state(3).unwrap());
-        let (mut flipped, mut back, mut permuted) = (Vec::new(), Vec::new(), Vec::new());
-        relabel_into(w.entries(), None, 0b001, &mut flipped);
-        assert_ne!(w.entries(), flipped.as_slice());
-        relabel_into(&flipped, None, 0b001, &mut back);
-        assert_eq!(w.entries(), back.as_slice());
-        relabel_into(w.entries(), Some(&[1, 2, 0]), 0, &mut permuted);
-        assert_eq!(permuted.len(), 3);
-        assert!(permuted.windows(2).all(|pair| pair[0].0 < pair[1].0));
     }
 
     /// Spreads the bits of `compact` over `positions`: bit `i` lands on

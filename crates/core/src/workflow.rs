@@ -149,28 +149,9 @@ impl QspWorkflow {
             && Self::active_qubits(state) <= self.config.search.max_qubits
     }
 
-    /// Runs the full workflow on any [`QuantumState`] backend and returns
-    /// the circuit. Sparse targets are borrowed zero-copy; dense and adaptive
-    /// targets are converted once at the boundary and then follow the exact
-    /// same code path.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unsupported states (negative amplitudes) or when
-    /// a reduction stage fails.
-    #[deprecated(
-        since = "0.3.0",
-        note = "build a `SynthesisRequest` and use `synthesize_request` (or the \
-                `Synthesizer` trait); the report's `circuit` field is this circuit"
-    )]
-    pub fn synthesize<S: QuantumState>(&self, state: &S) -> Result<Circuit, SynthesisError> {
-        self.run(state)
-    }
-
     /// Synthesizes one typed [`SynthesisRequest`], honouring its per-request
     /// overrides, and reports the circuit with provenance and timings. This
-    /// is the [`Synthesizer`] trait entry point under an inherent name (the
-    /// deprecated state-based `synthesize` still shadows the trait method).
+    /// is the [`Synthesizer`] trait entry point under an inherent name.
     ///
     /// # Errors
     ///
@@ -208,30 +189,23 @@ impl QspWorkflow {
         ))
     }
 
-    /// The undeprecated core of the workflow (also what the batch engine and
-    /// the request path call).
+    /// Runs the full workflow on any [`QuantumState`] backend and returns
+    /// the circuit. Sparse targets are borrowed zero-copy; dense and adaptive
+    /// targets are converted once at the boundary and then follow the exact
+    /// same code path.
     pub(crate) fn run<S: QuantumState>(&self, state: &S) -> Result<Circuit, SynthesisError> {
-        self.run_probed(state, None)
+        Ok(self.run_with_plan(state, None)?.0)
     }
 
-    /// [`QspWorkflow::run`] with an optional solver flight-recorder probe:
-    /// every exact solve the workflow schedules (direct, sparse residual,
-    /// dense residual) reports its search effort into the shared probe.
-    pub(crate) fn run_probed<S: QuantumState>(
-        &self,
-        state: &S,
-        probe: Option<&SearchProbe>,
-    ) -> Result<Circuit, SynthesisError> {
-        Ok(self.run_with_plan(state, probe)?.0)
-    }
-
-    /// [`QspWorkflow::run_probed`] that additionally surfaces the exact
-    /// solver's reduction plan when the target was solved *directly* by the
-    /// exact branch and its circuit survived the baseline guard unchanged —
-    /// the capture seam of the batch layer's support-pattern class
-    /// templates. Targets that went through a reduction flow (or whose
-    /// circuit a guard replaced) return `None`: their circuits were not
-    /// produced by a replayable recipe.
+    /// [`QspWorkflow::run`] with an optional solver flight-recorder probe
+    /// (every exact solve the workflow schedules — direct, sparse residual,
+    /// dense residual — reports its search effort into the shared probe)
+    /// that additionally surfaces the exact solver's reduction plan when the
+    /// target was solved *directly* by the exact branch and its circuit
+    /// survived the baseline guard unchanged — the capture seam of the batch
+    /// layer's support-pattern class templates. Targets that went through a
+    /// reduction flow (or whose circuit a guard replaced) return `None`:
+    /// their circuits were not produced by a replayable recipe.
     pub(crate) fn run_with_plan<S: QuantumState>(
         &self,
         state: &S,
@@ -459,8 +433,8 @@ mod tests {
         // |D^2_6> is classified dense by the workflow (n·m = 90 ≥ 2^6), so it
         // goes through qubit reduction plus an exact tail. With the
         // single-control merge library of this reproduction the result does
-        // not reach the paper's 22 CNOTs (see EXPERIMENTS.md), but it must
-        // stay at or below the plain n-flow's 62 and verify.
+        // not reach the paper's 22 CNOTs, but it must stay at or below the
+        // plain n-flow's 62 and verify.
         let circuit = verify(&generators::dicke(6, 2).unwrap());
         assert!(circuit.cnot_cost() <= 62, "cost {}", circuit.cnot_cost());
     }

@@ -52,10 +52,10 @@ impl TraceId {
 /// The pipeline stage a span measures.
 ///
 /// The six kinds partition a request's end-to-end latency on the serve
-/// path; on the direct batch path only `Key`/`CacheProbe`/`Solve`/
-/// `Reconstruct` occur. For a request served by dedup attach or a cache
-/// hit, `Solve` measures the time spent *waiting* on the owning solve
-/// (zero for a pure cache hit).
+/// path; on the batch engine's request paths only `Key`/`Solve`/
+/// `Reconstruct` occur, as stage durations laid end to end. For a request
+/// served by dedup attach or a cache hit, `Solve` measures the time spent
+/// *waiting* on the owning solve (zero for a pure cache hit).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanKind {
     /// From submission until a worker drained the request.

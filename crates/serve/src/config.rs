@@ -85,9 +85,9 @@ pub struct ServiceConfig {
     pub scheduler: SchedulerConfig,
     /// Workflow configuration of the underlying solver.
     pub workflow: WorkflowConfig,
-    /// Dedup policy and cache sharding/eviction of the underlying batch
-    /// engine (the `threads` field is ignored; parallelism comes from
-    /// [`SchedulerConfig::workers`]).
+    /// Cache sharding/eviction, keying budget and observability of the
+    /// underlying batch engine (the `threads` field is ignored; parallelism
+    /// comes from [`SchedulerConfig::workers`]).
     pub batch: BatchOptions,
     /// Multi-tenant admission control and weighted-fair drain policy. The
     /// default (no configured tenants) is the pre-tenancy behaviour: every
@@ -126,8 +126,8 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the dedup policy and cache sharding/eviction of the underlying
-    /// batch engine.
+    /// Sets the cache sharding/eviction, keying budget and observability of
+    /// the underlying batch engine.
     pub fn with_batch(mut self, batch: BatchOptions) -> Self {
         self.batch = batch;
         self

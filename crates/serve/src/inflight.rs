@@ -162,7 +162,7 @@ impl Drop for OwnedClass<'_> {
 mod tests {
     use super::*;
     use crate::handle::oneshot;
-    use qsp_core::{BatchSynthesizer, DedupPolicy};
+    use qsp_core::BatchSynthesizer;
     use qsp_state::generators;
 
     fn waiter(transform: StateTransform) -> Waiter {
@@ -186,7 +186,6 @@ mod tests {
     #[test]
     fn first_request_owns_later_requests_attach() {
         let engine = BatchSynthesizer::new();
-        assert_eq!(engine.options().dedup, DedupPolicy::Canonical);
         let target = generators::ghz(4).unwrap();
         let qsp_core::KeyedClass { key, transform, .. } = engine.canonical_class(&target).unwrap();
         let table = InFlightTable::default();

@@ -5,8 +5,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use qsp_core::{
-    BatchSynthesizer, CacheEntry, CachePolicy, DedupPolicy, EntryOrigin, KeyCoverage, KeyedClass,
-    Provenance, StageTimings, SynthesisReport, SynthesisRequest, TenantId,
+    BatchSynthesizer, CacheEntry, CachePolicy, EntryOrigin, KeyCoverage, KeyedClass, Provenance,
+    StageTimings, SynthesisReport, SynthesisRequest, TenantId,
 };
 use qsp_obs::{Histogram, ObsSnapshot, RequestTrace, SpanKind};
 use qsp_state::{QuantumState, SparseState};
@@ -73,7 +73,7 @@ impl SynthesisService {
 
     /// Starts a service on an existing batch engine — sharing its synthesis
     /// cache (e.g. one warm-started from a snapshot, or one also serving
-    /// offline `synthesize_batch` traffic) and its observability hub. Uses
+    /// offline `synthesize_requests` traffic) and its observability hub. Uses
     /// the default (single-tenant, unthrottled) [`TenantPolicy`].
     pub fn with_engine(
         engine: BatchSynthesizer,
@@ -202,37 +202,8 @@ impl SynthesisService {
         }
     }
 
-    /// The pre-request-API submission shape: a bare target plus an optional
-    /// deadline.
-    #[deprecated(
-        since = "0.3.0",
-        note = "build a `SynthesisRequest` (optionally `.with_deadline(..)`) and \
-                use `submit` or `submit_request`"
-    )]
-    pub fn submit_state<S: QuantumState>(&self, target: &S, deadline: Option<Instant>) -> Submit {
-        match target.as_sparse() {
-            Ok(sparse) => {
-                let mut request = SynthesisRequest::new(sparse.into_owned());
-                if let Some(deadline) = deadline {
-                    request = request.with_deadline(deadline);
-                }
-                self.submit(request)
-            }
-            Err(error) => {
-                self.inner.counters.submitted.inc();
-                self.inner.counters.failed.inc();
-                let tenant = &self.inner.counters.tenants[self.inner.policy.default_slot()];
-                tenant.submitted.inc();
-                tenant.failed.inc();
-                let (handle, completer) = crate::handle::oneshot();
-                completer.complete(Response::Failed(qsp_core::SynthesisError::State(error)));
-                Submit::Accepted(handle)
-            }
-        }
-    }
-
-    /// The underlying batch engine (shared synthesis cache, dedup policy,
-    /// observability hub).
+    /// The underlying batch engine (shared synthesis cache, observability
+    /// hub).
     pub fn engine(&self) -> &BatchSynthesizer {
         &self.inner.engine
     }
@@ -426,11 +397,9 @@ impl Inner {
             probed: keyed,
         };
 
-        // With dedup off — or a per-request cache bypass — the request is
-        // solved independently: no cache probe, no in-flight table (its
-        // cache-probe span is empty).
-        if self.engine.options().dedup == DedupPolicy::Off || resolved.cache == CachePolicy::Bypass
-        {
+        // A request that bypasses the cache is solved independently: no
+        // cache probe, no in-flight table (its cache-probe span is empty).
+        if resolved.cache == CachePolicy::Bypass {
             let solve_start = Instant::now();
             let entry = self
                 .engine

@@ -274,6 +274,8 @@ fn edf_serves_urgent_requests_before_lax_ones_in_a_drain() {
 
 #[test]
 fn dedup_off_solves_every_request_independently() {
+    // `CachePolicy::Bypass` is the way to opt out of dedup: each request is
+    // solved on its own, with no cache probe, in-flight attach or publish.
     let service = SynthesisService::start(
         ServiceConfig::default()
             .with_queue_capacity(16)
@@ -282,13 +284,15 @@ fn dedup_off_solves_every_request_independently() {
                     .with_max_batch(4)
                     .with_max_wait(Duration::from_millis(1))
                     .with_workers(2),
-            )
-            .with_batch(qsp_core::BatchOptions::default().with_dedup(qsp_core::DedupPolicy::Off)),
+            ),
     );
     let handles: Vec<_> = (0..3)
         .map(|_| {
             service
-                .submit(request(&generators::ghz(4).unwrap()))
+                .submit(
+                    request(&generators::ghz(4).unwrap())
+                        .with_cache_policy(qsp_core::CachePolicy::Bypass),
+                )
                 .handle()
                 .expect("accepted")
         })
@@ -324,23 +328,6 @@ fn invalid_targets_fail_without_poisoning_the_service() {
     assert!(good.wait_timeout(HANG).expect("no hang").is_completed());
     let stats = service.shutdown(Shutdown::Drain);
     assert_eq!(stats.failed, 1);
-    assert_eq!(stats.completed, 1);
-}
-
-#[test]
-fn deprecated_submit_state_still_works() {
-    // The compatibility wrapper accepts any backend state plus a deadline
-    // and produces the same report-carrying responses.
-    #![allow(deprecated)]
-    let service = service_with(8, 1, 4);
-    let target = generators::ghz(4).unwrap();
-    let handle = service
-        .submit_state(&target, Some(Instant::now() + Duration::from_secs(60)))
-        .handle()
-        .expect("accepted");
-    let response = handle.wait_timeout(HANG).expect("no hang");
-    assert_eq!(response.report().expect("completed").cnot_cost, 3);
-    let stats = service.shutdown(Shutdown::Drain);
     assert_eq!(stats.completed, 1);
 }
 

@@ -8,7 +8,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use qsp_core::batch::{BatchSynthesizer, DedupPolicy};
+use qsp_core::batch::BatchSynthesizer;
 use qsp_core::{Provenance, SynthesisRequest};
 use qsp_sim::verify_preparation;
 use qsp_state::{generators, SparseState};
@@ -33,7 +33,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
 
     let engine = BatchSynthesizer::new();
-    assert_eq!(engine.options().dedup, DedupPolicy::Canonical);
     let outcome = engine.synthesize_requests(&requests);
 
     println!(

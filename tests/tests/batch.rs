@@ -7,20 +7,30 @@
 //! * canonical-duplicate targets are solved exactly once (cache hit counts
 //!   asserted),
 //! * sparse and dense backends flow through the same generic workflow path.
-//!
-//! This suite deliberately drives the **deprecated compatibility wrappers**
-//! (`QspWorkflow::synthesize`, `BatchSynthesizer::synthesize_batch`) so the
-//! pre-request-API entry points stay covered until they are removed; the
-//! unified `SynthesisRequest` API is exercised by `unified_api.rs`.
-#![allow(deprecated)]
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use qsp_core::batch::{BatchOptions, BatchSynthesizer, DedupPolicy};
-use qsp_core::{prepare_state, QspWorkflow, WorkflowConfig};
+use qsp_circuit::Circuit;
+use qsp_core::batch::BatchSynthesizer;
+use qsp_core::{prepare_state, QspWorkflow, SynthesisRequest};
 use qsp_sim::verify_preparation;
-use qsp_state::{generators, AdaptiveState, DenseState, SparseState};
+use qsp_state::{generators, AdaptiveState, DenseState, QuantumState, SparseState};
+
+fn requests<S: QuantumState + Clone>(targets: &[S]) -> Vec<SynthesisRequest<S>> {
+    targets
+        .iter()
+        .map(|t| SynthesisRequest::new(t.clone()))
+        .collect()
+}
+
+/// One sequential workflow solve.
+fn workflow_circuit<S: QuantumState + Clone>(target: &S) -> Circuit {
+    QspWorkflow::new()
+        .synthesize_request(&SynthesisRequest::new(target.clone()))
+        .unwrap()
+        .circuit
+}
 
 fn workloads() -> Vec<SparseState> {
     let mut rng = StdRng::seed_from_u64(4242);
@@ -41,17 +51,14 @@ fn workloads() -> Vec<SparseState> {
 #[test]
 fn batch_circuits_are_bit_identical_to_sequential_workflow_runs() {
     let targets = workloads();
-    let sequential: Vec<_> = targets
-        .iter()
-        .map(|t| QspWorkflow::new().synthesize(t).unwrap())
-        .collect();
+    let sequential: Vec<_> = targets.iter().map(workflow_circuit).collect();
 
-    let outcome = BatchSynthesizer::new().synthesize_batch(&targets);
+    let outcome = BatchSynthesizer::new().synthesize_requests(&requests(&targets));
     assert_eq!(outcome.stats.targets, targets.len());
     assert_eq!(outcome.stats.errors, 0);
 
-    for (i, (seq, bat)) in sequential.iter().zip(&outcome.results).enumerate() {
-        let bat = bat.as_ref().unwrap();
+    for (i, (seq, bat)) in sequential.iter().zip(&outcome.reports).enumerate() {
+        let bat = &bat.as_ref().unwrap().circuit;
         assert_eq!(
             seq, bat,
             "target {i}: batch circuit differs from the sequential workflow"
@@ -94,7 +101,12 @@ fn canonical_duplicates_are_solved_exactly_once() {
         asym.clone(),
     ];
     let engine = BatchSynthesizer::new();
-    let outcome = engine.synthesize_batch(&targets);
+    let outcome = engine.synthesize_requests(&requests(&targets));
+    let results: Vec<&Circuit> = outcome
+        .reports
+        .iter()
+        .map(|report| &report.as_ref().unwrap().circuit)
+        .collect();
 
     assert_eq!(
         outcome.stats.solver_runs, 2,
@@ -109,48 +121,25 @@ fn canonical_duplicates_are_solved_exactly_once() {
 
     // Every circuit still prepares *its own* target, and the zero-cost
     // reconstruction preserves the CNOT cost across the class.
-    let asym_cost = outcome.results[0].as_ref().unwrap().cnot_cost();
-    for (target, result) in targets.iter().zip(&outcome.results) {
-        let circuit = result.as_ref().unwrap();
+    let asym_cost = results[0].cnot_cost();
+    for (target, circuit) in targets.iter().zip(&results) {
         assert!(
             verify_preparation(circuit, target).unwrap().is_correct(),
             "reconstructed circuit does not prepare its target"
         );
     }
     for i in [2usize, 3, 5] {
-        assert_eq!(outcome.results[i].as_ref().unwrap().cnot_cost(), asym_cost);
+        assert_eq!(results[i].cnot_cost(), asym_cost);
     }
 
     // Exact duplicates get bit-identical circuits.
-    assert_eq!(
-        outcome.results[0].as_ref().unwrap(),
-        outcome.results[5].as_ref().unwrap()
-    );
-    assert_eq!(
-        outcome.results[1].as_ref().unwrap(),
-        outcome.results[4].as_ref().unwrap()
-    );
+    assert_eq!(results[0], results[5]);
+    assert_eq!(results[1], results[4]);
 
     // Resubmitting the whole batch is served from the cache without solving.
-    let again = engine.synthesize_batch(&targets);
+    let again = engine.synthesize_requests(&requests(&targets));
     assert_eq!(again.stats.solver_runs, 0);
     assert_eq!(again.stats.cache_hits, targets.len());
-}
-
-#[test]
-fn exact_dedup_policy_only_merges_identical_states() {
-    let base = asymmetric_state();
-    let permuted = base.permute_qubits(&[1, 0, 3, 2]).unwrap();
-    let targets = vec![base.clone(), permuted, base];
-    let engine = BatchSynthesizer::with_options(
-        WorkflowConfig::default(),
-        BatchOptions::default()
-            .with_threads(2)
-            .with_dedup(DedupPolicy::Exact),
-    );
-    let outcome = engine.synthesize_batch(&targets);
-    assert_eq!(outcome.stats.solver_runs, 2);
-    assert_eq!(outcome.stats.cache_hits, 1);
 }
 
 #[test]
@@ -159,9 +148,9 @@ fn sparse_and_dense_backends_share_the_workflow_path() {
     let dense = DenseState::from_sparse(&sparse);
     let adaptive = AdaptiveState::from_sparse(sparse.clone());
 
-    let via_sparse = QspWorkflow::new().synthesize(&sparse).unwrap();
-    let via_dense = QspWorkflow::new().synthesize(&dense).unwrap();
-    let via_adaptive = QspWorkflow::new().synthesize(&adaptive).unwrap();
+    let via_sparse = workflow_circuit(&sparse);
+    let via_dense = workflow_circuit(&dense);
+    let via_adaptive = workflow_circuit(&adaptive);
     assert_eq!(via_sparse, via_dense);
     assert_eq!(via_sparse, via_adaptive);
     assert!(verify_preparation(&via_dense, &dense).unwrap().is_correct());
@@ -169,21 +158,22 @@ fn sparse_and_dense_backends_share_the_workflow_path() {
     // prepare_state and the batch engine accept dense targets too.
     let outcome = prepare_state(&dense).unwrap();
     assert_eq!(outcome.cnot_cost, via_sparse.cnot_cost());
-    let batch = BatchSynthesizer::new().synthesize_batch(std::slice::from_ref(&dense));
-    assert_eq!(batch.results[0].as_ref().unwrap(), &via_sparse);
+    let batch =
+        BatchSynthesizer::new().synthesize_requests(&requests(std::slice::from_ref(&dense)));
+    assert_eq!(batch.reports[0].as_ref().unwrap().circuit, via_sparse);
 
     // A batch mixing representations of the *same* state solves it once.
     let engine = BatchSynthesizer::new();
-    let mixed_sparse = engine.synthesize_batch(std::slice::from_ref(&sparse));
-    let mixed_dense = engine.synthesize_batch(&[dense]);
+    let mixed_sparse = engine.synthesize_requests(&requests(std::slice::from_ref(&sparse)));
+    let mixed_dense = engine.synthesize_requests(&requests(&[dense]));
     assert_eq!(mixed_sparse.stats.solver_runs, 1);
     assert_eq!(
         mixed_dense.stats.solver_runs, 0,
         "dense view of a cached sparse state hits"
     );
     assert_eq!(
-        mixed_sparse.results[0].as_ref().unwrap(),
-        mixed_dense.results[0].as_ref().unwrap()
+        mixed_sparse.reports[0].as_ref().unwrap().circuit,
+        mixed_dense.reports[0].as_ref().unwrap().circuit
     );
 }
 
@@ -198,13 +188,15 @@ fn batch_scales_to_a_wide_mixed_workload() {
     for i in 0..10 {
         targets.push(targets[i].clone());
     }
-    let outcome = BatchSynthesizer::new().synthesize_batch(&targets);
+    let outcome = BatchSynthesizer::new().synthesize_requests(&requests(&targets));
     assert_eq!(outcome.stats.errors, 0);
     assert!(outcome.stats.solver_runs <= 20);
     assert!(outcome.stats.cache_hits >= 10);
-    for (target, result) in targets.iter().zip(&outcome.results) {
-        assert!(verify_preparation(result.as_ref().unwrap(), target)
-            .unwrap()
-            .is_correct());
+    for (target, report) in targets.iter().zip(&outcome.reports) {
+        assert!(
+            verify_preparation(&report.as_ref().unwrap().circuit, target)
+                .unwrap()
+                .is_correct()
+        );
     }
 }

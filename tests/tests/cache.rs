@@ -165,3 +165,43 @@ fn snapshot_of_a_bounded_cache_loads_into_a_bounded_cache() {
     assert!(bounded.cache_stats().evictions >= 4);
     std::fs::remove_file(&path).unwrap();
 }
+
+#[test]
+fn a_loaded_snapshot_serves_permuted_and_flipped_variants() {
+    // An asymmetric state: permuting and flipping its qubits yields a
+    // different state of the same class.
+    let base = SparseState::uniform_superposition(
+        4,
+        [0b0001u64, 0b0011, 0b0111].map(qsp_state::BasisIndex::new),
+    )
+    .unwrap();
+    let variant = base
+        .permute_qubits(&[1, 0, 3, 2])
+        .unwrap()
+        .apply_x(0)
+        .unwrap();
+    assert_ne!(base, variant);
+
+    let warm = BatchSynthesizer::new();
+    let solved = warm.synthesize_requests(&requests(std::slice::from_ref(&base)));
+    let cost = solved.reports[0].as_ref().unwrap().cnot_cost;
+    let dir = std::env::temp_dir().join("qsp_cache_snapshot_variant");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("snapshot.json");
+    assert_eq!(warm.save_cache_snapshot(&path).unwrap(), 1);
+
+    // The loaded class anchors the cold engine's keying, so the variant
+    // keys onto it instead of anchoring a class of its own.
+    let cold = BatchSynthesizer::new();
+    assert_eq!(cold.load_cache_snapshot(&path).unwrap(), 1);
+    let served = cold.synthesize_requests(&requests(std::slice::from_ref(&variant)));
+    assert_eq!(served.stats.solver_runs, 0, "the variant must warm-hit");
+    assert_eq!(served.stats.cache_hits, 1);
+    let report = served.reports[0].as_ref().unwrap();
+    assert!(matches!(report.provenance, Provenance::CacheHit { .. }));
+    assert_eq!(report.cnot_cost, cost);
+    assert!(verify_preparation(&report.circuit, &variant)
+        .unwrap()
+        .is_correct());
+    std::fs::remove_file(&path).unwrap();
+}

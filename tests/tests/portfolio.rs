@@ -2,19 +2,15 @@
 //! criterion of the `SolverEngine` refactor: the portfolio returns
 //! **bit-identical** `cnot_cost` to the sequential A* across the property
 //! workloads, from every entry point (exact synthesizer, workflow, batch).
-//!
-//! This suite drives the **deprecated compatibility wrappers** on purpose,
-//! keeping the pre-request-API entry points covered across both solver
-//! strategies; the unified `SynthesisRequest` API is exercised by
-//! `unified_api.rs`.
-#![allow(deprecated)]
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use qsp_baselines::StatePreparator;
 use qsp_core::batch::{BatchOptions, BatchSynthesizer};
-use qsp_core::{ExactSynthesizer, QspWorkflow, SearchConfig, SearchStrategy, WorkflowConfig};
+use qsp_core::{
+    ExactSynthesizer, QspWorkflow, SearchConfig, SearchStrategy, SynthesisRequest, WorkflowConfig,
+};
 use qsp_sim::verify_preparation;
 use qsp_state::{generators, SparseState};
 
@@ -41,8 +37,8 @@ fn portfolio_exact_costs_are_bit_identical_to_sequential() {
     let sequential = ExactSynthesizer::new();
     let portfolio = ExactSynthesizer::with_config(SearchConfig::portfolio(4));
     for target in property_workloads() {
-        let seq = sequential.synthesize(&target).unwrap();
-        let par = portfolio.synthesize(&target).unwrap();
+        let seq = sequential.engine().synthesize(&target).unwrap();
+        let par = portfolio.engine().synthesize(&target).unwrap();
         assert_eq!(
             seq.cnot_cost, par.cnot_cost,
             "portfolio cost diverged on {target}"
@@ -88,31 +84,35 @@ fn portfolio_workflow_matches_sequential_workflow_costs() {
 
 #[test]
 fn batch_engine_rides_the_portfolio_strategy() {
-    let targets = vec![
+    let targets = [
         generators::dicke(4, 2).unwrap(),
         generators::ghz(4).unwrap(),
         generators::dicke(4, 2).unwrap(), // duplicate → cache hit
     ];
-    let sequential = BatchSynthesizer::new().synthesize_batch(&targets);
+    let requests: Vec<_> = targets
+        .iter()
+        .map(|t| SynthesisRequest::new(t.clone()))
+        .collect();
+    let sequential = BatchSynthesizer::new().synthesize_requests(&requests);
     let portfolio_engine = BatchSynthesizer::with_options(
         WorkflowConfig::with_strategy(SearchStrategy::Portfolio { workers: 3 }),
         BatchOptions::default(),
     );
-    let portfolio = portfolio_engine.synthesize_batch(&targets);
+    let portfolio = portfolio_engine.synthesize_requests(&requests);
     assert_eq!(portfolio.stats.solver_runs, 2);
     assert_eq!(portfolio.stats.cache_hits, 1);
     for (i, (seq, par)) in sequential
-        .results
+        .reports
         .iter()
-        .zip(&portfolio.results)
+        .zip(&portfolio.reports)
         .enumerate()
     {
+        let (seq, par) = (seq.as_ref().unwrap(), par.as_ref().unwrap());
         assert_eq!(
-            seq.as_ref().unwrap().cnot_cost(),
-            par.as_ref().unwrap().cnot_cost(),
+            seq.cnot_cost, par.cnot_cost,
             "batch target {i} diverged under the portfolio strategy"
         );
-        assert!(verify_preparation(par.as_ref().unwrap(), &targets[i])
+        assert!(verify_preparation(&par.circuit, &targets[i])
             .unwrap()
             .is_correct());
     }
@@ -124,11 +124,11 @@ fn degenerate_portfolios_fall_back_to_sequential() {
     // behave exactly like the sequential engine.
     let one_worker = ExactSynthesizer::with_config(SearchConfig::portfolio(1));
     let ghz = generators::ghz(4).unwrap();
-    let outcome = one_worker.synthesize(&ghz).unwrap();
+    let outcome = one_worker.engine().synthesize(&ghz).unwrap();
     assert_eq!(outcome.cnot_cost, 3);
     assert_eq!(outcome.stats.variants, 1);
 
     let ground = SparseState::ground_state(4).unwrap();
-    let outcome = one_worker.synthesize(&ground).unwrap();
+    let outcome = one_worker.engine().synthesize(&ground).unwrap();
     assert_eq!(outcome.cnot_cost, 0);
 }

@@ -92,7 +92,7 @@ fn service_shares_a_warm_cache_with_the_batch_engine() {
     // A fresh service warm-starts from the snapshot through the shared
     // engine: no solver runs for the same traffic.
     let engine = BatchSynthesizer::new();
-    engine.cache().merge_snapshot(&snapshot).unwrap();
+    engine.load_cache_snapshot(&snapshot).unwrap();
     let service = SynthesisService::with_engine(
         engine,
         16,
